@@ -14,7 +14,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .expsum import (
 from .moments import phi_moment, run_sweep, write_errors_csv, write_moments_csv, psi_value
 from .sieve import (
     build_lambda_table,
-    build_mobius_phi_tables,
     build_prime_table,
     build_squarefree_table,
     save_lambda_table,
@@ -49,28 +47,6 @@ from .singular import SingularCfg, sandwich_check, sigma_q, singular_series
 # Max |s2| / Weyl envelope over the seeded calibration grid (seed 0, see check_weyl).
 # Re-runs must stay within 5% of this recorded value.
 WEYL_CALIBRATION_C = 0.039036613241745885
-
-
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the heavier subcommands."""
-
-    x: int = 0
-    y: int = 0
-    euler_cutoff: int = 10_000
-    q1: int = 1
-    tol: float = 1e-6
-    segment_size: int | None = None
-    memory_budget: int | None = None
-    workers: int = 1
-    output_dir: str = "."
-    format: str = "csv"
-
-    def __post_init__(self) -> None:
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -199,7 +175,6 @@ def cmd_tables(args: argparse.Namespace) -> int:
     primes = build_prime_table(args.limit, budget=args.budget_bytes)
     lam = build_lambda_table(1, args.limit, budget=args.budget_bytes)
     sf = build_squarefree_table(args.limit, budget=args.budget_bytes)
-    build_mobius_phi_tables(args.limit, budget=args.budget_bytes)
     print(f"primes <= {args.limit}: {primes.count()}")
     print(f"squarefree <= {args.limit}: {sf.count()}")
     if args.cache:
@@ -376,7 +351,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", choices=("euler", "lmethod"), default="euler")
     p.add_argument("--p", type=int, default=10_000)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--segment-size", type=int, default=None)
     p.add_argument("--out", default=".")
     add_common(p)

@@ -6,9 +6,10 @@ second moment of the error over squarefree k, its normalisation by y x^2,
 and exceptional counts at thresholds x / (log x)^B.
 
 Determinism contract: a sweep's output is bit-identical across runs and
-worker counts.  psi accumulation is one ascending-n array add per n into
-disjoint k-shards (so shard layout cannot change any float), and every moment
-is reduced with math.fsum (exact summation) in ascending k.
+worker counts.  psi accumulation is a single-threaded pass of one
+ascending-n array add per n over all k, the `workers` argument is accepted
+and validated but has no effect, and every moment is reduced with math.fsum
+(exact summation) in ascending k.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,28 +107,12 @@ def error_record(
     return ErrorRecord(k=k, squarefree=bool(squarefree), psi=psi, singular=sing, error=psi - sing * x)
 
 
-def _psi_bulk(x: int, y: int, lam: LambdaTable, workers: int) -> np.ndarray:
-    """psi(x; k) for all k = 1..y: one window add per n, k-sharded for threads.
-
-    Each k belongs to exactly one shard and its adds happen in ascending n,
-    so the result is bit-identical for every worker count.
-    """
+def _psi_bulk(x: int, y: int, lam: LambdaTable) -> np.ndarray:
+    """psi(x; k) for all k = 1..y: one window add per n, in ascending n."""
     psi = np.zeros(y + 1, dtype=np.float64)
-
-    def fill(k_lo: int, k_hi: int) -> None:
-        out = psi[k_lo : k_hi + 1]
-        for n in range(1, x + 1):
-            base = n * n - lam.lo
-            out += lam.values[base + k_lo : base + k_hi + 1]
-
-    if workers <= 1:
-        fill(1, y)
-    else:
-        bounds = np.linspace(1, y + 1, workers + 1, dtype=np.int64)
-        spans = [(int(bounds[i]), int(bounds[i + 1] - 1)) for i in range(workers)]
-        spans = [(lo, hi) for lo, hi in spans if hi >= lo]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: fill(*span), spans))
+    for n in range(1, x + 1):
+        base = n * n - lam.lo
+        psi[1:] += lam.values[base + 1 : base + y + 1]
     return psi
 
 
@@ -147,6 +131,7 @@ def run_sweep(
     The Euler cutoff is raised to max(cfg.euler_cutoff, x) so the main-term
     truncation error stays well below the psi fluctuation being measured.
     Warns (without failing) if y falls outside [x^2/(log x)^warn_exponent, x^2].
+    `workers` must be >= 1 and has no effect; it is kept for callers that pass it.
     """
     if x < 2:
         raise ValueError(f"run_sweep: x must be >= 2, got {x}")
@@ -163,7 +148,7 @@ def run_sweep(
 
     kwargs = {} if segment_size is None else {"segment_size": segment_size}
     lam = build_lambda_table(1, x * x + y, budget=budget, **kwargs)
-    psi = _psi_bulk(x, y, lam, workers)
+    psi = _psi_bulk(x, y, lam)
 
     if cfg.method == "euler":
         sing = singular_series_euler_bulk(y, max(cfg.euler_cutoff, x))

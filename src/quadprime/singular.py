@@ -121,6 +121,42 @@ def chi_k(k: int, n: int) -> int:
     return int(_chi_table(k)[n % (4 * k)])
 
 
+def _legendre_table(p: int) -> np.ndarray:
+    """(m/p) for m = 0..p-1 as int8, by enumerating the nonzero squares."""
+    t = np.full(p, -1, dtype=np.int8)
+    t[0] = 0
+    r = np.arange(1, p, dtype=np.int64)
+    t[(r * r) % p] = 1
+    return t
+
+
+def _euler_factor(p, chi):
+    """Factor of S(k) at the odd prime p, given chi = chi_k(p)."""
+    return 1.0 - chi / (p - 1.0)
+
+
+def _sl_factor(p, chi):
+    """Factor of SL(k) at p: 1 - 1/(p-1)^2, exactly 1, or 1 + 1/(p^2-1) for chi = +1, 0, -1."""
+    base = p * (p - 1.0)
+    return (base - p * chi) / (base - (p - 1.0) * chi)
+
+
+def _bulk_product(y: int, cutoff: int, factor) -> np.ndarray:
+    """prod of factor(p, chi_k(p)) over odd p <= cutoff for every k = 0..y (index 0 set to 0).
+
+    chi_k(p) = (-k/p) depends only on k mod p, so each prime's factor row is
+    built once on the residues r < min(p, y + 1) and tiled across k.
+    """
+    acc = np.ones(y + 1, dtype=np.float64)
+    for p in _odd_primes_upto(cutoff):
+        p = int(p)
+        r = np.arange(min(p, y + 1), dtype=np.int64)
+        row = factor(p, _legendre_table(p)[(-r) % p].astype(np.float64))
+        acc *= np.tile(row, -(-(y + 1) // len(row)))[: y + 1]
+    acc[0] = 0.0
+    return acc
+
+
 def singular_series_euler(k: int, cutoff: int, *, primes: np.ndarray | None = None) -> float:
     """Truncated Euler product over odd primes p <= cutoff.
 
@@ -140,39 +176,16 @@ def singular_series_euler(k: int, cutoff: int, *, primes: np.ndarray | None = No
         hi = np.searchsorted(primes, cutoff, side="right")
         p = np.asarray(primes[lo:hi], dtype=np.int64)
     chi = _chi_table(k)[p % (4 * k)].astype(np.float64)
-    pf = p.astype(np.float64)
-    return float(np.prod(1.0 - chi / (pf - 1.0)))
-
-
-def _legendre_table(p: int) -> np.ndarray:
-    """(m/p) for m = 0..p-1 as int8, by enumerating the nonzero squares."""
-    t = np.full(p, -1, dtype=np.int8)
-    t[0] = 0
-    r = np.arange(1, p, dtype=np.int64)
-    t[(r * r) % p] = 1
-    return t
+    return float(np.prod(_euler_factor(p.astype(np.float64), chi)))
 
 
 def singular_series_euler_bulk(y: int, cutoff: int) -> np.ndarray:
-    """Truncated Euler product for every k = 1..y at once.
-
-    One pass per odd prime p <= cutoff with a length-p Legendre lookup table,
-    so the cost is O(pi(cutoff) * y) vectorised operations instead of
-    y separate Jacobi evaluations per prime.  Index 0 of the result is unused
-    (set to 0).
-    """
+    """Truncated Euler product for every k = 1..y at once (index 0 unused, set to 0)."""
     if y < 1:
         raise ValueError(f"singular_series_euler_bulk: y must be >= 1, got {y}")
     if cutoff < 3:
         raise ValueError(f"singular_series_euler_bulk: cutoff must be >= 3, got {cutoff}")
-    ks = np.arange(0, y + 1, dtype=np.int64)
-    acc = np.ones(y + 1, dtype=np.float64)
-    for p in _odd_primes_upto(cutoff):
-        p = int(p)
-        leg = _legendre_table(p).astype(np.float64)
-        acc *= 1.0 - leg[np.mod(-ks, p)] / (p - 1.0)
-    acc[0] = 0.0
-    return acc
+    return _bulk_product(y, cutoff, _euler_factor)
 
 
 def l_value(k: int, tol: float, *, n_ceiling: int = L_SUM_CEILING) -> float:
@@ -226,36 +239,22 @@ def _sl_cutoff(tol: float) -> int:
     return max(int(math.ceil(1.5 / tol)) + 1, 11)
 
 
-def sl_product(k: int, tol: float, *, cutoff: int | None = None) -> float:
-    """S(k) * L(k) as the absolutely convergent product over odd primes.
-
-    Factor at p: (p^2 - p - p chi) / (p^2 - p - (p-1) chi), which is
-    1 - 1/(p-1)^2, exactly 1, or 1 + 1/(p^2-1) according to chi = +1, 0, -1.
-    """
+def sl_product(k: int, tol: float) -> float:
+    """S(k) * L(k) as the absolutely convergent product over odd primes (see _sl_factor)."""
     if k < 1:
         raise ValueError(f"sl_product: k must be >= 1, got {k}")
     if not tol > 0:
         raise ValueError(f"sl_product: tol must be positive, got {tol}")
-    p = _odd_primes_upto(cutoff if cutoff is not None else _sl_cutoff(tol))
+    p = _odd_primes_upto(_sl_cutoff(tol))
     chi = _chi_table(k)[p % (4 * k)].astype(np.float64)
-    pf = p.astype(np.float64)
-    base = pf * pf - pf
-    return float(np.prod((base - pf * chi) / (base - (pf - 1.0) * chi)))
+    return float(np.prod(_sl_factor(p.astype(np.float64), chi)))
 
 
 def sl_product_bulk(y: int, tol: float) -> np.ndarray:
-    """sl_product for every k = 1..y, vectorised per prime (index 0 unused)."""
+    """sl_product for every k = 1..y at once (index 0 unused, set to 0)."""
     if y < 1:
         raise ValueError(f"sl_product_bulk: y must be >= 1, got {y}")
-    ks = np.arange(0, y + 1, dtype=np.int64)
-    acc = np.ones(y + 1, dtype=np.float64)
-    for p in _odd_primes_upto(_sl_cutoff(tol)):
-        p = int(p)
-        chi = _legendre_table(p).astype(np.float64)[np.mod(-ks, p)]
-        base = float(p) * (p - 1.0)
-        acc *= (base - p * chi) / (base - (p - 1.0) * chi)
-    acc[0] = 0.0
-    return acc
+    return _bulk_product(y, _sl_cutoff(tol), _sl_factor)
 
 
 @lru_cache(maxsize=4096)

@@ -8,14 +8,18 @@ cross-checks two package functions against each other).
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadprime.arith import jacobi, mobius_phi
 from quadprime.errors import VerificationError
 from quadprime.singular import (
     SingularCfg,
+    _sl_cutoff,
     chi_k,
     dirichlet_partial,
     l_value,
@@ -27,6 +31,7 @@ from quadprime.singular import (
     singular_series_euler_bulk,
     singular_series_lmethod,
     sl_product,
+    sl_product_bulk,
     tail_phi,
 )
 
@@ -56,6 +61,45 @@ def digamma_l_oracle(k):
 
 def squarefree(n):
     return mobius_phi(n)[0] != 0
+
+
+def odd_primes_brute(n):
+    return [p for p in range(3, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+@lru_cache(maxsize=None)
+def legendre_row(p):
+    """(m/p) for m = 0..p-1 as float64: +1 on nonzero squares, 0 at m = 0, -1 elsewhere."""
+    leg = np.full(p, -1.0)
+    leg[0] = 0.0
+    leg[np.arange(1, p) ** 2 % p] = 1.0
+    return leg
+
+
+def gather_product(y, cutoff, factor):
+    """Per-prime product for every k = 0..y by gathering (-k/p) over all k (index 0 set to 0).
+
+    Reference oracle for the bulk kernel: no periodicity is used, each prime
+    indexes its Legendre row at -k mod p for every k.
+    """
+    ks = np.arange(0, y + 1, dtype=np.int64)
+    acc = np.ones(y + 1, dtype=np.float64)
+    for p in odd_primes_brute(cutoff):
+        acc *= factor(p, legendre_row(p)[np.mod(-ks, p)])
+    acc[0] = 0.0
+    return acc
+
+
+def euler_gather(y, cutoff):
+    return gather_product(y, cutoff, lambda p, chi: 1.0 - chi / (p - 1.0))
+
+
+def sl_gather(y, tol):
+    def factor(p, chi):
+        base = float(p) * (p - 1.0)
+        return (base - p * chi) / (base - (p - 1.0) * chi)
+
+    return gather_product(y, _sl_cutoff(tol), factor)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +214,32 @@ def test_euler_bulk_matches_scalar():
     bulk = singular_series_euler_bulk(200, 10**4)
     for k in range(1, 201):
         assert bulk[k] == pytest.approx(singular_series_euler(k, 10**4), rel=1e-12), k
+
+
+def test_sl_bulk_matches_scalar():
+    bulk = sl_product_bulk(200, 1e-4)
+    for k in range(1, 201):
+        assert bulk[k] == pytest.approx(sl_product(k, 1e-4), rel=1e-12), k
+
+
+# y and the prime cutoff range over both sides of each other, so the kernel's
+# factor rows are tested at full length p (p <= y) and capped at y + 1 (p > y).
+
+
+@settings(max_examples=40, deadline=None)
+@given(y=st.integers(1, 2000), cutoff=st.integers(3, 3000))
+@example(y=2000, cutoff=3)
+@example(y=1, cutoff=3000)
+def test_euler_bulk_equals_gather_oracle(y, cutoff):
+    assert np.array_equal(singular_series_euler_bulk(y, cutoff), euler_gather(y, cutoff))
+
+
+@settings(max_examples=40, deadline=None)
+@given(y=st.integers(1, 2000), tol=st.floats(1e-3, 1.0))
+@example(y=2000, tol=1.0)
+@example(y=1, tol=1e-3)
+def test_sl_bulk_equals_gather_oracle(y, tol):
+    assert np.array_equal(sl_product_bulk(y, tol), sl_gather(y, tol))
 
 
 # ---------------------------------------------------------------------------
