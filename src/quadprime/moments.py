@@ -31,6 +31,7 @@ from .singular import (
 )
 
 EXCEPTIONAL_B_GRID = (0.5, 1.0, 1.5, 2.0)
+_CSV_BLOCK = 1 << 16
 
 
 @dataclass
@@ -224,20 +225,18 @@ def _fmt(v: float) -> str:
 
 
 def write_errors_csv(result: SweepResult, path: str) -> None:
-    """Per-k rows: k, squarefree, psi, singular, error (floats at 12 significant digits)."""
+    """Per-k rows: k, squarefree, psi, singular, error (floats at 12 significant digits).
+
+    Rows are formatted in blocks of _CSV_BLOCK, so only one block at a time
+    is held as Python objects; the bytes match csv.writer's (CRLF, no quoting).
+    """
+    y = result.summary.y
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "squarefree", "psi", "singular", "error"])
-        for k in range(1, result.summary.y + 1):
-            w.writerow(
-                [
-                    k,
-                    int(result.squarefree[k]),
-                    _fmt(float(result.psi[k])),
-                    _fmt(float(result.singular[k])),
-                    _fmt(float(result.error[k])),
-                ]
-            )
+        fh.write("k,squarefree,psi,singular,error\r\n")
+        for lo in range(1, y + 1, _CSV_BLOCK):
+            hi = min(lo + _CSV_BLOCK, y + 1)
+            cols = [a[lo:hi].tolist() for a in (result.squarefree, result.psi, result.singular, result.error)]
+            fh.writelines("%d,%d,%.12g,%.12g,%.12g\r\n" % row for row in zip(range(lo, hi), *cols))
 
 
 def write_moments_csv(summaries: list[MomentSummary], path: str) -> None:

@@ -17,7 +17,9 @@ with equivalent forms used here:
     real character of modulus 4k                      (singular_series_lmethod)
 
 SL(k) is sandwiched between prod (p^2-2p)/(p^2-2p+1) and prod p^2/(p^2-1)
-over odd primes, which sandwich_check verifies numerically.
+over odd primes, the twin-prime constant C2 and pi^2/8, which sandwich_check
+verifies numerically.  chi_k itself is tabulated by Jacobi reciprocity from
+the factorization of k (_chi_table), so no prime sieve is needed for it.
 
 Also here: sigma_q, the exact complete exponential sum
 sum_r sum_{a coprime q} e(-(a/q)(k + r^2)), evaluated in integers.
@@ -31,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import divisors, jacobi, mobius_phi
+from .arith import divisors, factorize, mobius_phi
 from .errors import VerificationError
 from .sieve import build_mobius_phi_tables, build_prime_table
 
@@ -93,34 +95,6 @@ def sigma_q(q: int, k: int) -> int:
     return total
 
 
-@lru_cache(maxsize=128)
-def _chi_table(k: int) -> np.ndarray:
-    """chi_k(r) = jacobi(-k, r) for odd r, 0 for even r, tabulated on one period.
-
-    The map n -> jacobi(-k, n) on odd n is completely multiplicative and
-    periodic mod 4k, so the table is filled from values at primes by strided
-    multiplication (one factor per p-adic valuation level).
-    """
-    m = 4 * k
-    chi = np.zeros(m, dtype=np.int8)
-    chi[1::2] = 1
-    for p in _odd_primes_upto(m - 1) if m > 3 else []:
-        p = int(p)
-        v = jacobi(-k, p)
-        if v == 1:
-            continue
-        pe = p
-        while pe < m:
-            chi[pe::pe] *= v
-            pe *= p
-    return chi
-
-
-def chi_k(k: int, n: int) -> int:
-    """jacobi(-k, n) for odd n via the period-4k table (0 on even n)."""
-    return int(_chi_table(k)[n % (4 * k)])
-
-
 def _legendre_table(p: int) -> np.ndarray:
     """(m/p) for m = 0..p-1 as int8, by enumerating the nonzero squares."""
     t = np.full(p, -1, dtype=np.int8)
@@ -128,6 +102,38 @@ def _legendre_table(p: int) -> np.ndarray:
     r = np.arange(1, p, dtype=np.int64)
     t[(r * r) % p] = 1
     return t
+
+
+@lru_cache(maxsize=128)
+def _chi_table(k: int) -> np.ndarray:
+    """chi_k(n) = jacobi(-k, n) for odd n, 0 for even n, tabulated on one period 0..4k-1.
+
+    Write k = 2^e m with m odd.  Jacobi reciprocity and its two supplements
+    (Cohen, A Course in Computational Algebraic Number Theory, 1.4.2) give,
+    for odd n,
+
+        (-k/n) = s(n) * prod_{p^a || m} (n/p)^a,
+
+    where the sign s(n) depends only on n mod 8: (-1/n) times the reciprocity
+    sign is -1 exactly when n = 3 mod 4 and m = 1 mod 4, and (2/n)^e is -1
+    exactly when e is odd and n = +-3 mod 8.
+    """
+    e = (k & -k).bit_length() - 1
+    m = k >> e
+    n = np.arange(4 * k, dtype=np.int64)
+    chi = (n % 2).astype(np.int8)
+    if m % 4 == 1:
+        chi[n % 4 == 3] *= -1
+    if e % 2:
+        chi[(n % 8 == 3) | (n % 8 == 5)] *= -1
+    for p, a in factorize(m):
+        chi *= _legendre_table(p)[n % p] ** a
+    return chi
+
+
+def chi_k(k: int, n: int) -> int:
+    """jacobi(-k, n) for odd n via the period-4k table (0 on even n)."""
+    return int(_chi_table(k)[n % (4 * k)])
 
 
 def _euler_factor(p, chi):
@@ -157,24 +163,13 @@ def _bulk_product(y: int, cutoff: int, factor) -> np.ndarray:
     return acc
 
 
-def singular_series_euler(k: int, cutoff: int, *, primes: np.ndarray | None = None) -> float:
-    """Truncated Euler product over odd primes p <= cutoff.
-
-    Args:
-        k: progression offset, >= 1.
-        cutoff: prime cutoff P >= 3.
-        primes: optional ascending prime array covering [2, cutoff].
-    """
+def singular_series_euler(k: int, cutoff: int) -> float:
+    """Truncated Euler product over odd primes p <= cutoff (k >= 1, cutoff >= 3)."""
     if k < 1:
         raise ValueError(f"singular_series_euler: k must be >= 1, got {k}")
     if cutoff < 3:
         raise ValueError(f"singular_series_euler: cutoff must be >= 3, got {cutoff}")
-    if primes is None:
-        p = _odd_primes_upto(cutoff)
-    else:
-        lo = np.searchsorted(primes, 3, side="left")
-        hi = np.searchsorted(primes, cutoff, side="right")
-        p = np.asarray(primes[lo:hi], dtype=np.int64)
+    p = _odd_primes_upto(cutoff)
     chi = _chi_table(k)[p % (4 * k)].astype(np.float64)
     return float(np.prod(_euler_factor(p.astype(np.float64), chi)))
 
@@ -317,24 +312,13 @@ def tail_phi(
     return singular_series_lmethod(k, tol) - dirichlet_partial(k, q1, mu=mu, phi=phi)
 
 
-_sandwich_cache: dict[int, tuple[float, float]] = {}
+def sandwich_bounds() -> tuple[float, float]:
+    """(lower, upper) endpoints for SL: prod (1 - 1/(p-1)^2) and prod p^2/(p^2-1) over p > 2.
 
-SANDWICH_PRIME_CUTOFF = 100_000_000
-
-
-def sandwich_bounds(cutoff: int = SANDWICH_PRIME_CUTOFF) -> tuple[float, float]:
-    """(lower, upper) endpoints for SL: prod (1 - 1/(p-1)^2) and prod p^2/(p^2-1).
-
-    Truncating at 10^8 leaves a tail below 1e-9 (the log-tail is under
-    sum_{p > P} 1/(p-1)^2 ~ 1/(P log P)).  Computed once per cutoff and cached;
-    the first call costs a sieve to the cutoff.
+    Both are known constants: the lower one is the twin-prime constant C2
+    (OEIS A005597), the upper one is zeta(2) * (1 - 1/4) = pi^2/8.
     """
-    if cutoff not in _sandwich_cache:
-        p = _odd_primes_upto(cutoff).astype(np.float64)
-        lower = math.exp(float(np.sum(np.log1p(-1.0 / ((p - 1.0) ** 2)))))
-        upper = math.exp(-float(np.sum(np.log1p(-1.0 / (p * p)))))
-        _sandwich_cache[cutoff] = (lower, upper)
-    return _sandwich_cache[cutoff]
+    return 0.66016181584686957, math.pi**2 / 8
 
 
 @dataclass
@@ -346,9 +330,9 @@ class SandwichReport:
     passed: bool
 
 
-def sandwich_check(k: int, tol: float = 1e-4, *, bounds_cutoff: int = SANDWICH_PRIME_CUTOFF) -> SandwichReport:
+def sandwich_check(k: int, tol: float = 1e-4) -> SandwichReport:
     """Check lower - tol <= SL(k) <= upper + tol for squarefree k."""
-    lower, upper = sandwich_bounds(bounds_cutoff)
+    lower, upper = sandwich_bounds()
     product = sl_product(k, tol / 4.0)
     passed = (lower - tol) <= product <= (upper + tol)
     return SandwichReport(k, product, lower, upper, passed)

@@ -15,11 +15,7 @@ from quadprime.arith import jacobi, mobius_phi
 from quadprime.cli import check_decompose, check_gauss, check_weyl
 from quadprime.expsum import circle_psi_oracle, pv_check
 from quadprime.moments import phi_moment, run_sweep, write_errors_csv, write_moments_csv
-from quadprime.sieve import (
-    build_lambda_table,
-    build_prime_table,
-    build_squarefree_table,
-)
+from quadprime.sieve import build_lambda_table, build_squarefree_table
 from quadprime.singular import (
     SingularCfg,
     sandwich_bounds,
@@ -172,10 +168,9 @@ def test_05_gauss_sum_laws(capsys):
 
 def test_06_singular_series_cross_method():
     started = time.monotonic()
-    primes = build_prime_table(10**7).primes
     worst = 0.0
     for k in squarefree_list(40):
-        gap = abs(singular_series_lmethod(k, 1e-6) - singular_series_euler(k, 10**7, primes=primes))
+        gap = abs(singular_series_lmethod(k, 1e-6) - singular_series_euler(k, 10**7))
         worst = max(worst, gap)
     anchor_gap = abs(singular_series_lmethod(1, 1e-6) - 1.3728134)
     report(

@@ -4,12 +4,14 @@ The prime-power weight oracle at the top is a from-scratch trial-division
 implementation so the counting side is checked independently of the sieve.
 """
 
+import csv
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from quadprime import moments
 from quadprime.moments import (
     ErrorRecord,
     error_record,
@@ -224,6 +226,20 @@ def test_errors_csv_golden(tmp_path, cfg):
     assert lines[1] == "1,1,13.3618368665,1.37102251464,-0.348388279888"
     assert lines[2] == "2,1,9.01396045793,0.712544427995,1.88851617798"
     assert len(lines) == 101
+
+
+def test_errors_csv_bytes_match_csv_writer_across_blocks(tmp_path, cfg, monkeypatch):
+    r = run_sweep(10, 100, cfg)
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["k", "squarefree", "psi", "singular", "error"])
+        for rec in r.records():
+            w.writerow([rec.k, int(rec.squarefree)] + [format(v, ".12g") for v in (rec.psi, rec.singular, rec.error)])
+    monkeypatch.setattr(moments, "_CSV_BLOCK", 7)  # 100 rows: 14 full blocks and a partial one
+    got = tmp_path / "got.csv"
+    write_errors_csv(r, str(got))
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_moments_csv_golden(tmp_path, cfg):

@@ -67,6 +67,16 @@ def odd_primes_brute(n):
     return [p for p in range(3, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
 
 
+def odd_primes_sieve(n):
+    """Odd primes <= n by a plain Eratosthenes sieve on a boolean array."""
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
+    for d in range(2, math.isqrt(n) + 1):
+        if flags[d]:
+            flags[d * d :: d] = False
+    return np.nonzero(flags)[0][1:]
+
+
 @lru_cache(maxsize=None)
 def legendre_row(p):
     """(m/p) for m = 0..p-1 as float64: +1 on nonzero squares, 0 at m = 0, -1 elsewhere."""
@@ -183,6 +193,29 @@ def test_chi_supported_on_units_and_nonprincipal(k):
             assert v in (-1, 1)
         total += v
     assert total == 0  # a principal character would sum to phi(4k)
+
+
+# k = 2^e * m * s^2: e of either parity, m odd (so = 1 or 3 mod 4), s^2 a square factor
+K_PARTS = st.builds(
+    lambda e, m, s: 2**e * m * s * s,
+    st.integers(0, 5),
+    st.integers(0, 30).map(lambda j: 2 * j + 1),
+    st.sampled_from([1, 3, 5]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=K_PARTS)
+@example(k=1)
+@example(k=2)
+@example(k=4)
+@example(k=8)
+@example(k=3)
+@example(k=9 * 49)
+@example(k=2**11 * 3)
+def test_chi_equals_jacobi_on_one_period(k):
+    for n in range(4 * k):
+        assert chi_k(k, n) == (jacobi(-k, n) if n % 2 else 0), (k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +398,24 @@ def test_tail_plus_partial_reconstructs_full_value():
 
 
 def test_sandwich_endpoints_match_known_constants():
-    # twin-prime constant C2 and pi^2/8, via direct products over p <= 1e6
-    lo, hi = sandwich_bounds(10**6)
-    assert lo == pytest.approx(0.6601618158468696, abs=1e-6)
-    assert hi == pytest.approx(math.pi**2 / 8, abs=1e-6)
+    # the closed forms (C2 and pi^2/8) against direct products over odd p <= 1e6
+    p = odd_primes_sieve(10**6).astype(np.float64)
+    lo, hi = sandwich_bounds()
+    assert lo == pytest.approx(float(np.prod(1.0 - 1.0 / (p - 1.0) ** 2)), abs=1e-6)
+    assert hi == pytest.approx(float(np.prod(p * p / (p * p - 1.0))), abs=1e-6)
 
 
 def test_sandwich_holds_on_small_squarefree_range():
-    lo, hi = sandwich_bounds(10**6)
+    lo, hi = sandwich_bounds()
     for k in range(1, 301):
         if not squarefree(k):
             continue
-        report = sandwich_check(k, tol=1e-4, bounds_cutoff=10**6)
+        report = sandwich_check(k, tol=1e-4)
         assert report.passed, (k, report)
         assert lo - 1e-4 <= report.product <= hi + 1e-4
 
 
 def test_sandwich_report_fields():
-    report = sandwich_check(1, tol=1e-4, bounds_cutoff=10**6)
+    report = sandwich_check(1, tol=1e-4)
     assert report.k == 1
     assert report.product == pytest.approx(sl_product(1, 2.5e-5), abs=1e-6)
