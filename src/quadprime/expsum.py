@@ -34,12 +34,12 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .arith import divisors, factorize, mobius_phi
 from .errors import VerificationError
-from .sieve import LambdaTable, memory_budget
+from .sieve import LambdaTable, _check_budget
 
 CHARACTER_Q_CEILING = 10_000
 ORACLE_WORK_CEILING = 1 << 28
-
-TWO_PI = 2.0 * math.pi
+_PV_DIRECTIONS = 8  # K, the projection directions of the diameter bracket in pv_check
+_PV_MARGIN = 1e-9  # relative slack on the brackets so rounding never prunes the maximiser
 
 
 def e_of(theta: float) -> complex:
@@ -135,10 +135,11 @@ class Character:
 
 @dataclass
 class CharacterTable:
-    """All phi(q) Dirichlet characters mod q.  Treat rows as read-only."""
+    """All phi(q) Dirichlet characters mod q; `values` is their read-only phi(q) x q matrix."""
 
     q: int
     chars: list[Character] = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
     @property
     def phi(self) -> int:
@@ -149,23 +150,14 @@ class CharacterTable:
         return next(ch for ch in self.chars if ch.is_principal)
 
 
-@lru_cache(maxsize=128)
-def build_character_table(q: int, q_ceiling: int = CHARACTER_Q_CEILING) -> CharacterTable:
-    """Character table mod q from the unit-group cycle structure.
+def _unit_cycles(q: int) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
+    """The cycles of (Z/qZ)^* as (order, discrete log of every n mod q), and the unit mask.
 
     Odd prime powers contribute one cycle (primitive root, lifted to p^e);
-    2^e contributes {+-1} x <5> for e >= 3.  A character is a choice of
-    exponent on each cycle; its dense value row is assembled by CRT gathers.
-    Results are cached, q is capped by q_ceiling, and the full table must fit
-    the memory budget.
+    2^e contributes {+-1} x <5> for e >= 3.  Logs are valid only on the units.
     """
-    if q < 1:
-        raise ValueError(f"build_character_table: q must be >= 1, got {q}")
-    if q > q_ceiling:
-        raise ValueError(f"build_character_table: q = {q} over the ceiling {q_ceiling}")
-
-    comps = []  # (modulus, [(order, dlog array per residue)])
-    cycle_orders: list[int] = []
+    n = np.arange(q, dtype=np.int64)
+    cycle_logs = []
     for p, e in factorize(q) if q > 1 else []:
         pe = p**e
         cycles = _component_cycles(p, e)
@@ -188,60 +180,65 @@ def build_character_table(q: int, q_ceiling: int = CHARACTER_Q_CEILING) -> Chara
                     dl[x] = t
                     x = x * g % pe
                 dlogs.append((order, dl))
-        comps.append((pe, dlogs))
-        cycle_orders.extend(order for order, _ in dlogs)
-
-    phi_q = 1
-    for o in cycle_orders:
-        phi_q *= o
-    if phi_q * q * 16 > memory_budget(None):
-        raise MemoryError(f"character table mod {q}: {phi_q}x{q} complex entries exceed the byte budget")
-
-    n = np.arange(q, dtype=np.int64)
+        cycle_logs.extend((order, dl[n % pe]) for order, dl in dlogs)
     unit_mask = np.ones(q, dtype=bool) if q == 1 else (np.gcd(n, q) == 1)
+    return cycle_logs, unit_mask
 
-    # per-cycle discrete logs of every n (valid only on the unit mask)
-    cycle_logs = []
-    for pe, dlogs in comps:
-        idx = n % pe
-        for order, dl in dlogs:
-            cycle_logs.append((order, dl[idx]))
 
-    # induction masks for conductor search: units congruent to 1 mod d
-    # (1 % d rather than literal 1 so the d = 1 mask covers every unit)
-    div_masks = [(d, unit_mask & (n % d == 1 % d)) for d in divisors(q)]
+@lru_cache(maxsize=32)
+def build_character_table(q: int, q_ceiling: int = CHARACTER_Q_CEILING) -> CharacterTable:
+    """Character table mod q from the unit-group cycle structure, built as one matrix.
 
-    chars: list[Character] = []
-    for index in range(phi_q):
-        # mixed-radix digits of `index` are the cycle exponents
-        rem, exps = index, []
-        for o in cycle_orders:
-            exps.append(rem % o)
-            rem //= o
-        frac = np.zeros(q, dtype=np.float64)
-        for (order, logs), j in zip(cycle_logs, exps):
-            frac += (j * logs) / order
-        values = np.where(unit_mask, np.exp(2j * np.pi * frac), 0.0 + 0.0j)
-        order = 1
-        for o, j in zip(cycle_orders, exps):
-            order = math.lcm(order, o // math.gcd(o, j))
-        conductor = q
-        for d, mask in div_masks:
-            if np.all(np.abs(values[mask] - 1.0) < 1e-9):
-                conductor = d
-                break
-        chars.append(
-            Character(
-                q=q,
-                index=index,
-                values=values,
-                order=order,
-                is_principal=(order == 1),
-                is_real=(order <= 2),
-                conductor=conductor,
-            )
-        )
-    return CharacterTable(q=q, chars=chars)
+    A character is a choice of exponent on each cycle of _unit_cycles(q);
+    character `index` takes the mixed-radix digits of index as exponents.
+    All rows are built at once: phases are summed one cycle at a time, then
+    exponentiated in one call.  The conductor is the least d | q with chi = 1
+    on the units = 1 mod d, tested per divisor over the rows still open.
+    The value matrix is read-only and each Character.values is a row view of
+    it, so the cached table cannot be changed through a row.  q is capped by
+    q_ceiling and the build's peak must fit the memory budget.  Up to 32
+    tables are cached; check pv walks q = 2..qmax once and reuses none.
+    """
+    if q < 1:
+        raise ValueError(f"build_character_table: q must be >= 1, got {q}")
+    if q > q_ceiling:
+        raise ValueError(f"build_character_table: q = {q} over the ceiling {q_ceiling}")
+
+    cycle_logs, unit_mask = _unit_cycles(q)
+    phi_q = math.prod(order for order, _ in cycle_logs)
+    # peak bytes per entry: 32 while the values are built (complex phases on the
+    # units, exponentiated in place, beside the zeroed matrix), then 16 plus a
+    # conductor block of <= q/2 columns (d > 1) at 41 bytes a cell; 40 bounds both
+    _check_budget(phi_q * q * 40, None, f"character table mod {q} ({phi_q}x{q} entries at 40 bytes)")
+
+    units = np.flatnonzero(unit_mask)
+    rem = np.arange(phi_q, dtype=np.int64)
+    frac = np.zeros((phi_q, len(units)), dtype=np.float64)
+    orders = np.ones(phi_q, dtype=np.int64)
+    for order, logs in cycle_logs:
+        j = rem % order
+        rem //= order
+        frac += (j[:, None] * logs[None, units]) / order
+        orders = np.lcm(orders, order // np.gcd(order, j))
+    on_units = 2j * np.pi * frac
+    del frac
+    values = np.zeros((phi_q, q), dtype=np.complex128)
+    values[:, units] = np.exp(on_units, out=on_units)
+    del on_units
+    values.flags.writeable = False
+
+    # only the principal character is 1 on every unit, so it alone has conductor 1
+    conductors = np.where(orders == 1, 1, q)
+    rows = np.flatnonzero(orders > 1)
+    for d in divisors(q)[1:]:
+        cols = np.flatnonzero(unit_mask & (np.arange(q) % d == 1))
+        hit = np.all(np.abs(values[np.ix_(rows, cols)] - 1.0) < 1e-9, axis=1)
+        conductors[rows[hit]] = d
+        rows = rows[~hit]
+
+    chars = [Character(q=q, index=i, values=values[i], order=o, is_principal=(o == 1), is_real=(o <= 2), conductor=c)
+             for i, (o, c) in enumerate(zip(orders.tolist(), conductors.tolist()))]
+    return CharacterTable(q=q, chars=chars, values=values)
 
 
 def _roots_of_unity(q: int) -> np.ndarray:
@@ -444,17 +441,40 @@ def pv_check(q: int) -> PvReport:
     """Largest |sum of chi(n) over a window| vs the 6 sqrt(q) log q bound.
 
     For non-principal chi mod q the partial-sum walk is periodic, so the
-    supremum over every window M < n <= M + N (N <= q) is the diameter of the
-    walk's point set over one period -- computed exactly, no window scan.
+    supremum over every window M < n <= M + N (N <= q) is the diameter D of
+    the walk's point set over one period.  All walks come from one cumsum
+    over the table, and D is bracketed before the exact hull runs:
+
+    - Bounding box: max(x range, y range) <= D <= the box diagonal.  Walks
+      whose diagonal is below the largest lower end drop out (about 92% of
+      them for q <= 500).
+    - K = _PV_DIRECTIONS directions spread over half a turn: no projection
+      is longer than D, and the diameter segment lies within pi/2K of one
+      of them, so width <= D <= width / cos(pi/2K), width being the largest
+      projected width.  One direction is projected at a time.
+
+    The exact diameter then runs in decreasing order of the upper end and
+    stops once it falls below the best exact D.  Every walk left out is
+    strictly shorter than the best (_PV_MARGIN covers float rounding of the
+    brackets), so max_sum is the same float the exhaustive scan gives.
     """
     if q < 2:
         raise ValueError(f"pv_check: q must be >= 2, got {q}")
     table = build_character_table(q)
+    walks = np.cumsum(table.values, axis=1)  # chi(0) = 0: row = [0, S(1), ..., S(q-1)]
+    live = np.flatnonzero([not ch.is_principal for ch in table.chars])
+    xr, yr = np.ptp(walks.real[live], axis=1), np.ptp(walks.imag[live], axis=1)
+    live = live[np.hypot(xr, yr) * (1.0 + _PV_MARGIN) >= np.maximum(xr, yr).max(initial=0.0)]
+    x, y, width = walks.real[live], walks.imag[live], np.zeros(len(live))
+    for k in range(_PV_DIRECTIONS):
+        t = math.pi * k / _PV_DIRECTIONS
+        proj = x * math.cos(t) + y * math.sin(t)
+        np.maximum(width, proj.max(axis=1) - proj.min(axis=1), out=width)
+    upper = width / math.cos(math.pi / (2 * _PV_DIRECTIONS))
     max_sum = 0.0
-    for ch in table.chars:
-        if ch.is_principal:
-            continue
-        walk = np.concatenate([[0.0 + 0.0j], np.cumsum(ch.values[1:])])
-        max_sum = max(max_sum, _diameter(walk))
+    for i in np.argsort(-upper, kind="stable"):
+        if upper[i] * (1.0 + _PV_MARGIN) < max_sum:
+            break
+        max_sum = max(max_sum, _diameter(walks[live[i]]))
     bound = 6.0 * math.sqrt(q) * math.log(q)
     return PvReport(q=q, max_sum=max_sum, bound=bound, passed=max_sum <= bound)

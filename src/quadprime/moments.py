@@ -80,6 +80,11 @@ class SweepResult:
         ]
 
 
+def _exceptional_threshold(x: int, b: float) -> float:
+    """The exceptional-set threshold x / (log x)^b."""
+    return x / math.log(x) ** b
+
+
 def psi_value(x: int, k: int, lam: LambdaTable) -> float:
     """sum_{n <= x} Lambda(n^2 + k) from a prebuilt table."""
     if x < 1 or k < 1:
@@ -166,10 +171,9 @@ def run_sweep(
     second_moment = math.fsum(v * v for v in sf_errors.tolist())
     count_sf = int(np.count_nonzero(sf))
     normalized = second_moment / (y * float(x) * float(x))
-    exceptional = {}
-    for b in EXCEPTIONAL_B_GRID:
-        threshold = x / math.log(x) ** b
-        exceptional[b] = int(np.count_nonzero(np.abs(sf_errors) > threshold))
+    exceptional = {
+        b: int(np.count_nonzero(np.abs(sf_errors) > _exceptional_threshold(x, b))) for b in EXCEPTIONAL_B_GRID
+    }
 
     summary = MomentSummary(
         x=x,
@@ -191,7 +195,7 @@ def exceptional_count(records: list[ErrorRecord], x: int, b: float) -> int:
     """How many squarefree records exceed |error| > x / (log x)^b."""
     if x < 2:
         raise ValueError(f"exceptional_count: x must be >= 2, got {x}")
-    threshold = x / math.log(x) ** b
+    threshold = _exceptional_threshold(x, b)
     return sum(1 for r in records if r.squarefree and abs(r.error) > threshold)
 
 

@@ -245,7 +245,7 @@ def test_11_character_walk_bound():
         not failures,
         f"q = 2..500 exhaustive, failures: {failures or 'none'}",
         time.monotonic() - started,
-        120.0,
+        20.0,
     )
 
 

@@ -3,13 +3,19 @@ decompositions, the circle-integral oracle, and the character-walk bound."""
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from quadprime.arith import mobius_phi
+from quadprime.arith import divisors, mobius_phi
 from quadprime.expsum import (
     ArcPoint,
+    Character,
+    _diameter,
+    _unit_cycles,
     build_character_table,
     circle_psi_oracle,
     decompose_s1,
@@ -61,6 +67,46 @@ def brute_conductor(ch):
         ):
             return d
     return q
+
+
+def per_character_table(q):
+    """The characters mod q one at a time, in index order, each row built on its own.
+
+    Reference oracle for the batched build: the same cycle logs, but one
+    phase row, one exp and one conductor scan over every divisor per character.
+    """
+    cycle_logs, unit_mask = _unit_cycles(q)
+    cycle_orders = [order for order, _ in cycle_logs]
+    n = np.arange(q, dtype=np.int64)
+    div_masks = [(d, unit_mask & (n % d == 1 % d)) for d in divisors(q)]
+    for index in range(math.prod(cycle_orders)):
+        rem, exps = index, []
+        for o in cycle_orders:
+            exps.append(rem % o)
+            rem //= o
+        frac = np.zeros(q, dtype=np.float64)
+        for (order, logs), j in zip(cycle_logs, exps):
+            frac += (j * logs) / order
+        values = np.where(unit_mask, np.exp(2j * np.pi * frac), 0.0 + 0.0j)
+        order = 1
+        for o, j in zip(cycle_orders, exps):
+            order = math.lcm(order, o // math.gcd(o, j))
+        conductor = q
+        for d, mask in div_masks:
+            if np.all(np.abs(values[mask] - 1.0) < 1e-9):
+                conductor = d
+                break
+        yield Character(q, index, values, order, order == 1, order <= 2, conductor)
+
+
+def exhaustive_max_sum(q):
+    """max over non-principal chi mod q of the exact diameter of its walk, no pruning."""
+    walks = (
+        np.concatenate([[0.0 + 0.0j], np.cumsum(ch.values[1:])])
+        for ch in build_character_table(q).chars
+        if not ch.is_principal
+    )
+    return max((_diameter(w) for w in walks), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +235,59 @@ def test_conductor_matches_brute_force(q):
 def test_character_table_ceiling():
     with pytest.raises(ValueError):
         build_character_table(20001)
+
+
+def assert_table_matches_oracle(q):
+    tab = build_character_table.__wrapped__(q)  # uncached: large q must not stay in the cache
+    count = 0
+    for ch, ref in zip(tab.chars, per_character_table(q), strict=True):
+        assert ch.values.tobytes() == ref.values.tobytes(), (q, ch.index)
+        assert (ch.index, ch.order, ch.conductor, ch.is_real, ch.is_principal) == (
+            ref.index, ref.order, ref.conductor, ref.is_real, ref.is_principal
+        ), (q, ch.index)
+        count += 1
+    assert count == tab.phi == tab.values.shape[0]
+
+
+def test_batched_table_equals_per_character_oracle():
+    for q in range(1, 301):
+        assert_table_matches_oracle(q)
+
+
+@settings(max_examples=8, deadline=None)
+@given(q=st.integers(min_value=301, max_value=3000))
+@example(q=2048)
+@example(q=2310)
+@example(q=2997)
+def test_batched_table_equals_per_character_oracle_large_q(q):
+    assert_table_matches_oracle(q)
+
+
+def test_character_values_are_read_only():
+    tab = build_character_table(12)
+    with pytest.raises(ValueError):
+        tab.chars[1].values[1] = 0.0
+    with pytest.raises(ValueError):
+        tab.values[0, 1] = 0.0
+    assert tab.chars[1].values[1] == pytest.approx(1.0)
+
+
+def test_character_table_budget_counts_the_build_peak(monkeypatch):
+    q = 499  # prime: phi = 498
+    entries = 498 * q
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(24 * entries))  # fits 16 B/entry, not 40
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="budget"):
+            build_character_table.__wrapped__(q)
+        assert tracemalloc.get_traced_memory()[1] < 8 * entries  # refused before the phase matrix
+        monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(40 * entries))
+        tracemalloc.reset_peak()
+        tab = build_character_table.__wrapped__(q)
+        assert tracemalloc.get_traced_memory()[1] <= 40 * entries + (1 << 20)
+    finally:
+        tracemalloc.stop()
+    assert tab.phi == 498
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +436,22 @@ def test_pv_max_window_matches_brute_force(q):
     assert report.max_sum == pytest.approx(worst, abs=1e-9)
     assert report.bound == pytest.approx(6 * math.sqrt(q) * math.log(q), rel=1e-12)
     assert report.passed
+
+
+def test_pv_pruned_max_equals_exhaustive_diameter():
+    for q in range(2, 301):
+        assert pv_check(q).max_sum == exhaustive_max_sum(q), q
+
+
+@settings(max_examples=8, deadline=None)
+@given(q=st.integers(min_value=301, max_value=2000))
+@example(q=1024)
+@example(q=1155)
+def test_pv_pruned_max_equals_exhaustive_diameter_large_q(q):
+    try:
+        assert pv_check(q).max_sum == exhaustive_max_sum(q)
+    finally:
+        build_character_table.cache_clear()  # a table near q = 2000 is up to 64 MB
 
 
 def test_pv_check_rejects_modulus_one():

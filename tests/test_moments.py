@@ -179,6 +179,14 @@ def test_exceptional_count_matches_manual_filter(cfg):
         assert exceptional_count(records, 20, b) == manual
 
 
+def test_exceptional_count_agrees_with_sweep_summary(cfg):
+    for x, y in ((20, 300), (30, 500)):
+        r = run_sweep(x, y, cfg)
+        records = r.records()
+        for b in moments.EXCEPTIONAL_B_GRID:
+            assert exceptional_count(records, x, b) == r.summary.exceptional[b], (x, b)
+
+
 def test_exceptional_count_monotone_in_b(cfg):
     records = run_sweep(30, 500, cfg).records()
     counts = [exceptional_count(records, 30, b) for b in (0.5, 1.0, 1.5, 2.0)]
