@@ -45,6 +45,7 @@ from .sieve import (
 )
 from .singular import (
     SingularCfg,
+    class_number,
     dirichlet_partial,
     l_value,
     sandwich_bounds,

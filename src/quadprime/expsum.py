@@ -185,7 +185,6 @@ def _unit_cycles(q: int) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
     return cycle_logs, unit_mask
 
 
-@lru_cache(maxsize=32)
 def build_character_table(q: int, q_ceiling: int = CHARACTER_Q_CEILING) -> CharacterTable:
     """Character table mod q from the unit-group cycle structure, built as one matrix.
 
@@ -195,9 +194,10 @@ def build_character_table(q: int, q_ceiling: int = CHARACTER_Q_CEILING) -> Chara
     exponentiated in one call.  The conductor is the least d | q with chi = 1
     on the units = 1 mod d, tested per divisor over the rows still open.
     The value matrix is read-only and each Character.values is a row view of
-    it, so the cached table cannot be changed through a row.  q is capped by
-    q_ceiling and the build's peak must fit the memory budget.  Up to 32
-    tables are cached; check pv walks q = 2..qmax once and reuses none.
+    it, so a shared table cannot be changed through a row.  q is capped by
+    q_ceiling and the build's peak must fit the memory budget.  Each call
+    builds anew; _cached_character_table keeps the tables that the
+    decompositions revisit.
     """
     if q < 1:
         raise ValueError(f"build_character_table: q must be >= 1, got {q}")
@@ -239,6 +239,12 @@ def build_character_table(q: int, q_ceiling: int = CHARACTER_Q_CEILING) -> Chara
     chars = [Character(q=q, index=i, values=values[i], order=o, is_principal=(o == 1), is_real=(o <= 2), conductor=c)
              for i, (o, c) in enumerate(zip(orders.tolist(), conductors.tolist()))]
     return CharacterTable(q=q, chars=chars, values=values)
+
+
+@lru_cache(maxsize=32)
+def _cached_character_table(q: int) -> CharacterTable:
+    """build_character_table(q), cached: decompose_s1/s2 revisit each q for every a, beta and length."""
+    return build_character_table(q)
 
 
 def _roots_of_unity(q: int) -> np.ndarray:
@@ -290,7 +296,7 @@ def decompose_s1(arc: ArcPoint, z: int, lam: LambdaTable) -> tuple[complex, comp
     mu_q, phi_q = mobius_phi(q)
     t1 = mu_q / phi_q * geom
 
-    table = build_character_table(q)
+    table = _cached_character_table(q)
     idx = m % q
     lam_e = lamv * ebm
     e1 = 0j
@@ -344,7 +350,7 @@ def decompose_s2(arc: ArcPoint, x: int) -> tuple[complex, complex]:
         t2 += g_quadratic(a * d_star % q1, q1) / phi_q1 * complex(np.sum(w))
 
         if q1 > 2:  # mod 1 and mod 2 every character is principal
-            table = build_character_table(q1)
+            table = _cached_character_table(q1)
             idx = n_star % q1
             neg_ad = (-a * d_star) % q1
             for ch in table.chars:

@@ -16,6 +16,11 @@ with equivalent forms used here:
     L(k) = sum_{n odd} chi_k(n)/n is a nonzero Dirichlet L-value at 1 for a
     real character of modulus 4k                      (singular_series_lmethod)
 
+L(k) is L(1, chi_{-4k}), which the class number formula gives exactly:
+L(k) = pi h(-4k) / (w sqrt(k)) with w = 4 at k = 1 and 2 otherwise, h(-4k)
+counted over reduced forms (class_number).  l_value sums the series
+directly and is kept as the independent oracle for it.
+
 SL(k) is sandwiched between prod (p^2-2p)/(p^2-2p+1) and prod p^2/(p^2-1)
 over odd primes, the twin-prime constant C2 and pi^2/8, which sandwich_check
 verifies numerically.  chi_k itself is tabulated by Jacobi reciprocity from
@@ -116,18 +121,20 @@ def _chi_table(k: int) -> np.ndarray:
 
     where the sign s(n) depends only on n mod 8: (-1/n) times the reciprocity
     sign is -1 exactly when n = 3 mod 4 and m = 1 mod 4, and (2/n)^e is -1
-    exactly when e is odd and n = +-3 mod 8.
+    exactly when e is odd and n = +-3 mod 8.  The sign row (length 8) and
+    each (n/p)^a row (length p, which divides 4k) are tiled over the period.
     """
     e = (k & -k).bit_length() - 1
     m = k >> e
-    n = np.arange(4 * k, dtype=np.int64)
-    chi = (n % 2).astype(np.int8)
+    sign = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=np.int8)
     if m % 4 == 1:
-        chi[n % 4 == 3] *= -1
+        sign[[3, 7]] *= -1
     if e % 2:
-        chi[(n % 8 == 3) | (n % 8 == 5)] *= -1
+        sign[[3, 5]] *= -1
+    # odd e: 8 divides 4k; even e: the row has period 4, so the cut at 4k is exact
+    chi = np.tile(sign, -(-k // 2))[: 4 * k]
     for p, a in factorize(m):
-        chi *= _legendre_table(p)[n % p] ** a
+        chi *= np.tile(_legendre_table(p) ** a, 4 * k // p)
     return chi
 
 
@@ -183,6 +190,29 @@ def singular_series_euler_bulk(y: int, cutoff: int) -> np.ndarray:
     return _bulk_product(y, cutoff, _euler_factor)
 
 
+def class_number(k: int) -> int:
+    """h(-4k), the number of primitive reduced forms a x^2 + 2t xy + c y^2 with ac - t^2 = k.
+
+    Reduced means |2t| <= a <= c, with t >= 0 when |2t| = a or a = c, and
+    primitive means gcd(a, 2t, c) = 1 (Cohen, A Course in Computational
+    Algebraic Number Theory, 5.3).  Then 3a^2 <= 4k, so one pass over the
+    grid a <= sqrt(4k/3), 0 <= 2t <= a finds them all: c = (k + t^2)/a must
+    be an integer >= a, and t > 0 stands for the pair +-t unless a tie-break
+    keeps t alone.  Non-fundamental discriminants are included, as the class
+    number formula for L(k) needs.
+    """
+    if k < 1:
+        raise ValueError(f"class_number: k must be >= 1, got {k}")
+    a = np.arange(1, math.isqrt(4 * k // 3) + 1, dtype=np.int64)[:, None]
+    t = np.arange(len(a) // 2 + 1, dtype=np.int64)
+    row, t = np.nonzero(((k + t * t) % a == 0) & (2 * t <= a))
+    a = row + 1
+    c = (k + t * t) // a
+    reduced = (c >= a) & (np.gcd(np.gcd(a, 2 * t), c) == 1)
+    single = (t == 0) | (2 * t == a) | (c == a)
+    return int(np.where(single, 1, 2)[reduced].sum())
+
+
 def l_value(k: int, tol: float, *, n_ceiling: int = L_SUM_CEILING) -> float:
     """L(k) = sum over odd n of jacobi(-k, n)/n, to absolute accuracy tol.
 
@@ -229,9 +259,40 @@ def l_value(k: int, tol: float, *, n_ceiling: int = L_SUM_CEILING) -> float:
     return total
 
 
+def _sl_tail_error(p: int) -> float:
+    """Bound on |sl_product - SL(k)| when the product stops at the prime cutoff p >= 3.
+
+    Every SL factor has |log| <= 1/(p(p-2)).  Partial summation with
+    pi(t) < 1.25506 t / ln t (Rosser-Schoenfeld 1962) bounds the tail past p
+    by eps = 2.52 / ((p-2) ln p); with SL <= pi^2/8 < 1.24 the truncated
+    product is off by at most 1.24 eps / (1 - eps) (infinite for eps >= 1).
+    """
+    eps = 2.52 / ((p - 2) * math.log(p))
+    return 1.24 * eps / (1.0 - eps) if eps < 1.0 else math.inf
+
+
 def _sl_cutoff(tol: float) -> int:
-    # |log tail| <= sum_{n > P} 1/(n-1)^2 < 1/(P-1); SL < 1.3, so P = 1.5/tol is safe.
-    return max(int(math.ceil(1.5 / tol)) + 1, 11)
+    """Smallest prime cutoff P >= 3 with _sl_tail_error(P) <= tol.
+
+    Newton's method on (x-2) ln x = 2.52 (1 + 1.24 / tol), the same
+    condition solved for x, gives the start; a step or two of the bound
+    itself fixes the integer.
+    """
+    need = 2.52 * (1.0 + 1.24 / tol)
+    x = max(need / math.log(need), 3.0)
+    for _ in range(20):  # quadratic convergence: a handful of steps in practice
+        step = ((x - 2.0) * math.log(x) - need) / (math.log(x) + 1.0 - 2.0 / x)
+        x -= step
+        if abs(step) <= 0.5:
+            break
+    if x > 2.0**50:  # beyond this, floats no longer tell neighbouring integers apart
+        raise ValueError(f"sl_product: tol = {tol} needs primes up to {x:.3g}, too far to sieve")
+    p = max(math.ceil(x), 3)
+    while p > 3 and _sl_tail_error(p - 1) <= tol:
+        p -= 1
+    while _sl_tail_error(p) > tol:
+        p += 1
+    return p
 
 
 def sl_product(k: int, tol: float) -> float:
@@ -254,22 +315,20 @@ def sl_product_bulk(y: int, tol: float) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def singular_series_lmethod(k: int, tol: float) -> float:
-    """S(k) = SL(k)/L(k) with the tolerance split between the two factors.
+    """S(k) = SL(k)/L(k), with L(k) exact from the class number formula.
 
-    A coarse pass sizes the split: the product needs absolute accuracy
-    ~ tol*L/4 and the L-value ~ tol*L^2/(4*SL), which keeps the quotient
-    within tol.  Results are cached per (k, tol) since sweeps over Q1 revisit
-    the same k.
+    L = pi h(-4k) / (w sqrt(k)) carries only float rounding, so the error
+    budget is the product's: sl_product to tol*L/2 keeps the quotient within
+    tol/2, half the budget kept as margin.  l_value, the direct sum, is the
+    oracle for L in the tests.  Results are cached per (k, tol) since sweeps
+    over Q1 revisit the same k.
     """
     if k < 1:
         raise ValueError(f"singular_series_lmethod: k must be >= 1, got {k}")
     if not tol > 0:
         raise ValueError(f"singular_series_lmethod: tol must be positive, got {tol}")
-    l_coarse = l_value(k, 0.02)
-    sl_coarse = sl_product(k, 0.01)
-    tol_sl = tol * abs(l_coarse) / 4.0
-    tol_l = tol * l_coarse * l_coarse / (4.0 * abs(sl_coarse))
-    value = sl_product(k, tol_sl) / l_value(k, tol_l)
+    l_exact = math.pi * class_number(k) / ((4 if k == 1 else 2) * math.sqrt(k))
+    value = sl_product(k, tol * l_exact / 2.0) / l_exact
     if not value > 0.0:
         raise VerificationError(f"singular_series_lmethod: S({k}) came out non-positive ({value})")
     return value

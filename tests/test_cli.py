@@ -79,10 +79,18 @@ def test_sweep_deterministic_across_workers(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
-def test_phi_moment_command(capsys):
+def test_singular_lmethod_at_tight_tol(capsys):
+    assert run(["singular", "--k", "1", "--method", "lmethod", "--tol", "1e-7", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    # 4/pi times the accelerated product over p <= 1e8, itself within 2e-9
+    assert abs(data["singular"] - 1.3728134628181987) <= 1e-7 + 2e-9
+
+
+def test_phi_moment_command(capsys, phi_moment_via_l_value):
     assert run(["phi-moment", "--y", "100", "--q1", "20", "--tol", "1e-3", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["phi_moment"] == pytest.approx(1.168768952197803, abs=1e-6)
+    assert data["phi_moment"] == pytest.approx(1.168808462532083, abs=1e-6)
+    assert abs(data["phi_moment"] - phi_moment_via_l_value(100, 20, 1e-7)) <= 1e-3
 
 
 @pytest.mark.parametrize(

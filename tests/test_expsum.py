@@ -14,6 +14,7 @@ from quadprime.arith import divisors, mobius_phi
 from quadprime.expsum import (
     ArcPoint,
     Character,
+    _cached_character_table,
     _diameter,
     _unit_cycles,
     build_character_table,
@@ -238,7 +239,7 @@ def test_character_table_ceiling():
 
 
 def assert_table_matches_oracle(q):
-    tab = build_character_table.__wrapped__(q)  # uncached: large q must not stay in the cache
+    tab = build_character_table(q)
     count = 0
     for ch, ref in zip(tab.chars, per_character_table(q), strict=True):
         assert ch.values.tobytes() == ref.values.tobytes(), (q, ch.index)
@@ -279,11 +280,11 @@ def test_character_table_budget_counts_the_build_peak(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(MemoryError, match="budget"):
-            build_character_table.__wrapped__(q)
+            build_character_table(q)
         assert tracemalloc.get_traced_memory()[1] < 8 * entries  # refused before the phase matrix
         monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(40 * entries))
         tracemalloc.reset_peak()
-        tab = build_character_table.__wrapped__(q)
+        tab = build_character_table(q)
         assert tracemalloc.get_traced_memory()[1] <= 40 * entries + (1 << 20)
     finally:
         tracemalloc.stop()
@@ -448,10 +449,16 @@ def test_pv_pruned_max_equals_exhaustive_diameter():
 @example(q=1024)
 @example(q=1155)
 def test_pv_pruned_max_equals_exhaustive_diameter_large_q(q):
-    try:
-        assert pv_check(q).max_sum == exhaustive_max_sum(q)
-    finally:
-        build_character_table.cache_clear()  # a table near q = 2000 is up to 64 MB
+    assert pv_check(q).max_sum == exhaustive_max_sum(q)
+
+
+def test_pv_check_leaves_the_table_cache_as_it_was():
+    _cached_character_table.cache_clear()  # a full cache would hide an insertion
+    _cached_character_table(5)
+    before = _cached_character_table.cache_info().currsize
+    for q in (7, 12, 97, 300):
+        pv_check(q)
+        assert _cached_character_table.cache_info().currsize == before, q
 
 
 def test_pv_check_rejects_modulus_one():

@@ -198,15 +198,18 @@ def test_exceptional_count_monotone_in_b(cfg):
 
 
 PHI_MOMENT_FROZEN = {
-    (100, 5): 4.480515793182629,
-    (100, 20): 1.168768952197803,
-    (100, 50): 0.648570212251983,
+    (100, 5): 4.480595853285301,
+    (100, 20): 1.168808462532083,
+    (100, 50): 0.6485293865518802,
 }
 
 
 @pytest.mark.parametrize("y,q1,expect", [(y, q, v) for (y, q), v in sorted(PHI_MOMENT_FROZEN.items())])
-def test_phi_moment_frozen(y, q1, expect):
-    assert phi_moment(y, q1, 1e-3) == pytest.approx(expect, abs=1e-6)
+def test_phi_moment_frozen(y, q1, expect, phi_moment_via_l_value):
+    value = phi_moment(y, q1, 1e-3)
+    assert value == pytest.approx(expect, abs=1e-6)
+    # S(k) to 1e-7 through the direct-sum L-value, 10^4 times tighter than tol
+    assert abs(value - phi_moment_via_l_value(y, q1, 1e-7)) <= 1e-3
 
 
 def test_phi_moment_decreasing_in_cutoff():

@@ -15,12 +15,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadprime.arith import jacobi, mobius_phi
+from quadprime.arith import factorize, jacobi, mobius_phi
 from quadprime.errors import VerificationError
 from quadprime.singular import (
     SingularCfg,
+    _chi_table,
+    _legendre_table,
     _sl_cutoff,
     chi_k,
+    class_number,
     dirichlet_partial,
     l_value,
     sandwich_bounds,
@@ -110,6 +113,48 @@ def sl_gather(y, tol):
         return (base - p * chi) / (base - (p - 1.0) * chi)
 
     return gather_product(y, _sl_cutoff(tol), factor)
+
+
+def chi_table_gather(k):
+    """_chi_table(k) by gathering each factor at n mod 2, 4, 8 and p over the whole period."""
+    e = (k & -k).bit_length() - 1
+    m = k >> e
+    n = np.arange(4 * k, dtype=np.int64)
+    chi = (n % 2).astype(np.int8)
+    if m % 4 == 1:
+        chi[n % 4 == 3] *= -1
+    if e % 2:
+        chi[(n % 8 == 3) | (n % 8 == 5)] *= -1
+    for p, a in factorize(m):
+        chi *= _legendre_table(p)[n % p] ** a
+    return chi
+
+
+def reduced_forms_brute(k):
+    """Primitive reduced forms (a, b, c) with b even and b^2 - 4ac = -4k, one triple at a time."""
+    forms = []
+    a = 1
+    while 3 * a * a <= 4 * k:
+        for b in range(-a, a + 1):
+            if b % 2 or (b * b + 4 * k) % (4 * a):
+                continue
+            c = (b * b + 4 * k) // (4 * a)
+            if c < a or (b < 0 and (-b == a or a == c)):
+                continue
+            if math.gcd(math.gcd(a, b), c) == 1:
+                forms.append((a, b, c))
+        a += 1
+    return forms
+
+
+def l_by_class_number(k):
+    """pi h(-4k) / (w sqrt(k)), w = 4 at k = 1 and 2 otherwise."""
+    return math.pi * class_number(k) / ((4 if k == 1 else 2) * math.sqrt(k))
+
+
+def sl_tail_bound(p):
+    """2.52 / ((p-2) ln p), the bound on sum_{primes > p} 1/(p(p-2)) that _sl_cutoff relies on."""
+    return 2.52 / ((p - 2) * math.log(p))
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +263,11 @@ def test_chi_equals_jacobi_on_one_period(k):
         assert chi_k(k, n) == (jacobi(-k, n) if n % 2 else 0), (k, n)
 
 
+def test_tiled_chi_table_equals_gather_oracle():
+    for k in list(range(1, 3001)) + [640000, 786432, 510510, 3**12]:
+        assert _chi_table(k).tobytes() == chi_table_gather(k).tobytes(), k
+
+
 # ---------------------------------------------------------------------------
 # Euler-product evaluations
 
@@ -312,6 +362,82 @@ def test_l_value_rejects_bad_arguments():
 
 
 # ---------------------------------------------------------------------------
+# class numbers and the exact L(k)
+
+H_KNOWN = {
+    1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2, 7: 1, 10: 2, 13: 2, 14: 4,
+    17: 4, 21: 4, 26: 6, 30: 4, 41: 8, 89: 12, 101: 14,
+}
+
+
+@pytest.mark.parametrize("k,h", sorted(H_KNOWN.items()))
+def test_class_number_known_values(k, h):
+    assert class_number(k) == h
+
+
+def test_class_number_counts_reduced_forms_by_brute_force():
+    for k in range(1, 501):
+        assert class_number(k) == len(reduced_forms_brute(k)), k
+
+
+def test_class_number_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        class_number(0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(k=st.integers(1, 5000))
+@example(k=1)
+@example(k=4)
+@example(k=12)
+@example(k=4096)
+def test_class_number_formula_matches_direct_sum(k):
+    assert abs(l_by_class_number(k) - l_value(k, 1e-10)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# error budget of the SL product and of the lmethod quotient
+
+
+def test_sl_tail_bound_covers_the_prime_tail():
+    # sum over primes P < p <= 1e6, plus sum_{n > 1e6} 1/(n(n-2)) < 1/(1e6 - 2) for the rest
+    p = odd_primes_sieve(10**6).astype(np.float64)
+    for cut in (3, 10, 100, 1000, 10**4):
+        tail = float(np.sum(1.0 / (p[p > cut] * (p[p > cut] - 2.0)))) + 1.0 / (10**6 - 2)
+        assert tail <= sl_tail_bound(cut), cut
+
+
+def test_sl_cutoff_is_the_least_p_meeting_the_bound():
+    tols = np.geomspace(1e-11, 10.0, 200)
+    cuts = [_sl_cutoff(float(t)) for t in tols]
+    assert all(a >= b for a, b in zip(cuts, cuts[1:]))  # tol grows, the cutoff does not
+    for tol, cut in zip(tols, cuts):
+        eps = sl_tail_bound(cut)
+        assert eps < 1 and 1.24 * eps / (1 - eps) <= tol, (tol, cut)
+        if cut > 3:
+            eps = sl_tail_bound(cut - 1)
+            assert eps >= 1 or 1.24 * eps / (1 - eps) > tol, (tol, cut)
+    assert (_sl_cutoff(2.5e-5), _sl_cutoff(1.5e-6)) == (13179, 172745)
+    with pytest.raises(ValueError, match="too far"):
+        _sl_cutoff(1e-30)
+
+
+@lru_cache(maxsize=None)
+def l_tight(k):
+    return l_value(k, 1e-11)
+
+
+@settings(max_examples=8, deadline=None)
+@given(k=st.integers(1, 1000))
+@example(k=1)
+@example(k=4)
+@example(k=163)
+def test_lmethod_meets_its_tolerance(k):
+    for tol in (1e-3, 1e-6):
+        assert abs(singular_series_lmethod(k, tol) - sl_product(k, tol / 100) / l_tight(k)) <= tol, (k, tol)
+
+
+# ---------------------------------------------------------------------------
 # accelerated product, cross-method agreement
 
 
@@ -376,15 +502,18 @@ def test_dirichlet_partial_matches_term_by_term():
 
 
 TAIL_FROZEN = {
-    (1, 101): -0.022959245669505135,
-    (2, 101): 0.01617756520928404,
+    (1, 101): -0.022959308013477564,
+    (2, 101): 0.016177627406753103,
     (5, 501): -0.031389330308144836,
 }
 
 
 @pytest.mark.parametrize("k,q1,expect", [(k, q, v) for (k, q), v in sorted(TAIL_FROZEN.items())])
-def test_tail_phi_frozen(k, q1, expect):
-    assert tail_phi(k, q1, 1e-6) == pytest.approx(expect, abs=1e-9)
+def test_tail_phi_frozen(k, q1, expect, s_via_l_value):
+    value = tail_phi(k, q1, 1e-6)
+    assert value == pytest.approx(expect, abs=1e-9)
+    # S(k) to 1e-8 through the direct-sum L-value, 100 times tighter than tol
+    assert abs(value - (s_via_l_value(k, 1e-8) - dirichlet_partial(k, q1))) <= 1e-6
 
 
 def test_tail_plus_partial_reconstructs_full_value():
