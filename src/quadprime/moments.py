@@ -6,9 +6,10 @@ second moment of the error over squarefree k, its normalisation by y x^2,
 and exceptional counts at thresholds x / (log x)^B.
 
 Determinism contract: a sweep's output is bit-identical across runs and
-worker counts.  psi accumulation is a single-threaded pass of one
-ascending-n array add per n over all k, the `workers` argument is accepted
-and validated but has no effect, and every moment is reduced with math.fsum
+worker counts.  psi accumulation is single-threaded: per block of k, one
+ascending-n array add per n, so every k gets the same additions in the same
+order whatever the block size.  The `workers` argument is accepted and
+validated but has no effect, and every moment is reduced with math.fsum
 (exact summation) in ascending k.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sieve import LambdaTable, build_lambda_table, build_squarefree_table, build_mobius_phi_tables
+from .sieve import LambdaTable, _check_budget, build_lambda_table, build_squarefree_table, build_mobius_phi_tables
 from .singular import (
     SingularCfg,
     singular_series_euler_bulk,
@@ -32,6 +33,8 @@ from .singular import (
 
 EXCEPTIONAL_B_GRID = (0.5, 1.0, 1.5, 2.0)
 _CSV_BLOCK = 1 << 16
+_PSI_BLOCK = 1 << 15
+_CSV_ROW = "%d,%d,%.12g,%.12g,%.12g\r\n"
 
 
 @dataclass
@@ -114,11 +117,19 @@ def error_record(
 
 
 def _psi_bulk(x: int, y: int, lam: LambdaTable) -> np.ndarray:
-    """psi(x; k) for all k = 1..y: one window add per n, in ascending n."""
+    """psi(x; k) for all k = 1..y (index 0 unused, set to 0).
+
+    k runs in blocks of _PSI_BLOCK, and each block gets one window add per n,
+    in ascending n, while it stays in cache.  Every k sees the same additions
+    in the same order as a full-width pass would give it.
+    """
     psi = np.zeros(y + 1, dtype=np.float64)
-    for n in range(1, x + 1):
-        base = n * n - lam.lo
-        psi[1:] += lam.values[base + 1 : base + y + 1]
+    for lo in range(1, y + 1, _PSI_BLOCK):
+        hi = min(lo + _PSI_BLOCK, y + 1)
+        block = psi[lo:hi]
+        for n in range(1, x + 1):
+            base = n * n - lam.lo
+            block += lam.values[base + lo : base + hi]
     return psi
 
 
@@ -137,6 +148,9 @@ def run_sweep(
     The Euler cutoff is raised to max(cfg.euler_cutoff, x) so the main-term
     truncation error stays well below the psi fluctuation being measured.
     Warns (without failing) if y falls outside [x^2/(log x)^warn_exponent, x^2].
+    `budget` bounds the Lambda table, the psi, main-term and error arrays
+    (24 (y + 1) bytes together), a prime sieve for the Euler product and the
+    squarefree flags, each checked before it is allocated.
     `workers` must be >= 1 and has no effect; it is kept for callers that pass it.
     """
     if x < 2:
@@ -152,12 +166,13 @@ def run_sweep(
             stacklevel=2,
         )
 
+    _check_budget(24 * (y + 1), budget, f"psi, main-term and error arrays over k <= {y}")
     kwargs = {} if segment_size is None else {"segment_size": segment_size}
     lam = build_lambda_table(1, x * x + y, budget=budget, **kwargs)
     psi = _psi_bulk(x, y, lam)
 
     if cfg.method == "euler":
-        sing = singular_series_euler_bulk(y, max(cfg.euler_cutoff, x))
+        sing = singular_series_euler_bulk(y, max(cfg.euler_cutoff, x), budget=budget)
     else:
         sing = np.zeros(y + 1)
         for k in range(1, y + 1):
@@ -231,16 +246,22 @@ def _fmt(v: float) -> str:
 def write_errors_csv(result: SweepResult, path: str) -> None:
     """Per-k rows: k, squarefree, psi, singular, error (floats at 12 significant digits).
 
-    Rows are formatted in blocks of _CSV_BLOCK, so only one block at a time
-    is held as Python objects; the bytes match csv.writer's (CRLF, no quoting).
+    Rows go out in blocks of _CSV_BLOCK.  A block's values are laid row by row
+    into one flat list and formatted by a single % of the row format repeated
+    once per row, so only one block at a time is held as Python objects; the
+    bytes match csv.writer's (CRLF, no quoting).
     """
     y = result.summary.y
+    cols = (result.squarefree, result.psi, result.singular, result.error)
     with open(path, "w", newline="") as fh:
         fh.write("k,squarefree,psi,singular,error\r\n")
         for lo in range(1, y + 1, _CSV_BLOCK):
             hi = min(lo + _CSV_BLOCK, y + 1)
-            cols = [a[lo:hi].tolist() for a in (result.squarefree, result.psi, result.singular, result.error)]
-            fh.writelines("%d,%d,%.12g,%.12g,%.12g\r\n" % row for row in zip(range(lo, hi), *cols))
+            flat = [None] * (5 * (hi - lo))
+            flat[0::5] = range(lo, hi)
+            for j, col in enumerate(cols, 1):
+                flat[j::5] = col[lo:hi].tolist()
+            fh.write(_CSV_ROW * (hi - lo) % tuple(flat))
 
 
 def write_moments_csv(summaries: list[MomentSummary], path: str) -> None:

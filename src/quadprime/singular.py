@@ -40,7 +40,7 @@ import numpy as np
 
 from .arith import divisors, factorize, mobius_phi
 from .errors import VerificationError
-from .sieve import build_mobius_phi_tables, build_prime_table
+from .sieve import _check_budget, build_mobius_phi_tables, build_prime_table
 
 L_SUM_CEILING = 100_000_000
 _SUM_CHUNK = 1 << 20
@@ -48,18 +48,21 @@ _SUM_CHUNK = 1 << 20
 _prime_cache: dict[str, object] = {"table": None}
 
 
-def _primes_upto(limit: int) -> np.ndarray:
-    """Shared ascending-prime array; grows monotonically, slices served by bisection."""
+def _primes_upto(limit: int, *, budget: int | None = None) -> np.ndarray:
+    """Shared ascending-prime array; grows monotonically, slices served by bisection.
+
+    A growing sieve is checked against `budget`; a slice of the cached table is not.
+    """
     table = _prime_cache["table"]
     if table is None or table.limit < limit:
-        table = build_prime_table(limit)
+        table = build_prime_table(limit, budget=budget)
         _prime_cache["table"] = table
     primes = table.primes
     return primes[: np.searchsorted(primes, limit, side="right")]
 
 
-def _odd_primes_upto(limit: int) -> np.ndarray:
-    return _primes_upto(limit)[1:]  # drop 2
+def _odd_primes_upto(limit: int, *, budget: int | None = None) -> np.ndarray:
+    return _primes_upto(limit, budget=budget)[1:]  # drop 2
 
 
 @dataclass
@@ -154,18 +157,26 @@ def _sl_factor(p, chi):
     return (base - p * chi) / (base - (p - 1.0) * chi)
 
 
-def _bulk_product(y: int, cutoff: int, factor) -> np.ndarray:
+def _bulk_product(y: int, cutoff: int, factor, budget: int | None = None) -> np.ndarray:
     """prod of factor(p, chi_k(p)) over odd p <= cutoff for every k = 0..y (index 0 set to 0).
 
     chi_k(p) = (-k/p) depends only on k mod p, so each prime's factor row is
-    built once on the residues r < min(p, y + 1) and tiled across k.
+    built once on the residues r < L = min(p, y + 1) and multiplied in place
+    into acc seen as m = (y + 1) // L rows of length L, then into the last
+    y + 1 - m L entries.  No length-y temporary is made, and every k gets the
+    same factors in the same ascending-prime order.
     """
+    _check_budget(8 * (y + 1), budget, f"bulk product over k <= {y}")
     acc = np.ones(y + 1, dtype=np.float64)
-    for p in _odd_primes_upto(cutoff):
+    for p in _odd_primes_upto(cutoff, budget=budget):
         p = int(p)
         r = np.arange(min(p, y + 1), dtype=np.int64)
         row = factor(p, _legendre_table(p)[(-r) % p].astype(np.float64))
-        acc *= np.tile(row, -(-(y + 1) // len(row)))[: y + 1]
+        span = (y + 1) // len(row) * len(row)
+        rows = acc[:span].reshape(-1, len(row))
+        rows *= row
+        tail = acc[span:]
+        tail *= row[: len(tail)]
     acc[0] = 0.0
     return acc
 
@@ -181,13 +192,16 @@ def singular_series_euler(k: int, cutoff: int) -> float:
     return float(np.prod(_euler_factor(p.astype(np.float64), chi)))
 
 
-def singular_series_euler_bulk(y: int, cutoff: int) -> np.ndarray:
-    """Truncated Euler product for every k = 1..y at once (index 0 unused, set to 0)."""
+def singular_series_euler_bulk(y: int, cutoff: int, *, budget: int | None = None) -> np.ndarray:
+    """Truncated Euler product for every k = 1..y at once (index 0 unused, set to 0).
+
+    `budget` bounds the result array and a prime sieve grown to `cutoff`.
+    """
     if y < 1:
         raise ValueError(f"singular_series_euler_bulk: y must be >= 1, got {y}")
     if cutoff < 3:
         raise ValueError(f"singular_series_euler_bulk: cutoff must be >= 3, got {cutoff}")
-    return _bulk_product(y, cutoff, _euler_factor)
+    return _bulk_product(y, cutoff, _euler_factor, budget)
 
 
 def class_number(k: int) -> int:
@@ -306,11 +320,11 @@ def sl_product(k: int, tol: float) -> float:
     return float(np.prod(_sl_factor(p.astype(np.float64), chi)))
 
 
-def sl_product_bulk(y: int, tol: float) -> np.ndarray:
-    """sl_product for every k = 1..y at once (index 0 unused, set to 0)."""
+def sl_product_bulk(y: int, tol: float, *, budget: int | None = None) -> np.ndarray:
+    """sl_product for every k = 1..y at once (index 0 unused, set to 0), within `budget` as above."""
     if y < 1:
         raise ValueError(f"sl_product_bulk: y must be >= 1, got {y}")
-    return _bulk_product(y, _sl_cutoff(tol), _sl_factor)
+    return _bulk_product(y, _sl_cutoff(tol), _sl_factor, budget)
 
 
 @lru_cache(maxsize=4096)

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadprime import moments
 from quadprime.moments import (
@@ -23,6 +25,8 @@ from quadprime.moments import (
     write_errors_csv,
     write_moments_csv,
 )
+from quadprime import singular
+from quadprime.moments import _psi_bulk
 from quadprime.sieve import build_lambda_table
 from quadprime.singular import SingularCfg
 
@@ -42,6 +46,15 @@ def brute_lambda(m):
 
 def brute_psi(x, k):
     return math.fsum(brute_lambda(n * n + k) for n in range(1, x + 1))
+
+
+def psi_full_width(x, y, lam):
+    """psi(x; k) for k = 0..y by one add per n over all k at once, in ascending n."""
+    psi = np.zeros(y + 1, dtype=np.float64)
+    for n in range(1, x + 1):
+        base = n * n - lam.lo
+        psi[1:] += lam.values[base + 1 : base + y + 1]
+    return psi
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +89,22 @@ def test_psi_matches_brute_force(lam):
     for x in (1, 7, 50):
         for k in (1, 2, 11):
             assert psi_value(x, k, lam) == pytest.approx(brute_psi(x, k), abs=1e-10)
+
+
+# Blocks of k shorter than y, and y not a multiple of the block, so the
+# blocked accumulation is compared over many block edges and a ragged tail.
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.integers(1, 60), y=st.integers(1, 400), block=st.integers(1, 64))
+@example(x=60, y=400, block=7)
+@example(x=1, y=1, block=1)
+@example(x=30, y=7, block=7)
+def test_psi_bulk_blocks_equal_full_width_oracle(x, y, block, lam):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "_PSI_BLOCK", block)
+        got = _psi_bulk(x, y, lam)
+    assert np.array_equal(got, psi_full_width(x, y, lam))
 
 
 def test_psi_needs_covering_table():
@@ -160,6 +189,21 @@ def test_sweep_validation(cfg):
         run_sweep(1, 100, cfg)
     with pytest.raises(ValueError):
         run_sweep(10, 0, cfg)
+
+
+def test_sweep_budget_counts_its_own_arrays(cfg):
+    x, y = 100, 10_000
+    budget = 200_000  # Lambda over [1, 20000] is about 160 kB; psi, S and E are 240 kB
+    build_lambda_table(1, x * x + y, budget=budget)
+    with pytest.raises(MemoryError, match="psi, main-term and error arrays"):
+        run_sweep(x, y, cfg, budget=budget)
+
+
+def test_sweep_budget_reaches_the_euler_prime_sieve(monkeypatch):
+    monkeypatch.setitem(singular._prime_cache, "table", None)
+    with pytest.raises(MemoryError, match="prime sieve"):
+        run_sweep(10, 100, SingularCfg(euler_cutoff=10**6), budget=10**5)
+    assert singular._prime_cache["table"] is None
 
 
 def test_moment_sweep_returns_summary_only(cfg):

@@ -8,6 +8,7 @@ cross-checks two package functions against each other).
 
 import cmath
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quadprime import singular
 from quadprime.arith import factorize, jacobi, mobius_phi
 from quadprime.errors import VerificationError
 from quadprime.singular import (
@@ -323,6 +325,30 @@ def test_euler_bulk_equals_gather_oracle(y, cutoff):
 @example(y=1, tol=1e-3)
 def test_sl_bulk_equals_gather_oracle(y, tol):
     assert np.array_equal(sl_product_bulk(y, tol), sl_gather(y, tol))
+
+
+def test_euler_bulk_allocates_no_length_y_temporary():
+    y, cutoff = 200_000, 2000
+    singular._primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
+    tracemalloc.start()
+    try:
+        singular_series_euler_bulk(y, cutoff)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row_temporaries = 64 * cutoff  # a handful of length-p int64/float64 rows
+    assert peak <= 8 * (y + 1) + row_temporaries + (1 << 20)
+
+
+def test_bulk_products_check_the_budget(monkeypatch):
+    monkeypatch.setitem(singular._prime_cache, "table", None)
+    with pytest.raises(MemoryError, match="prime sieve"):
+        singular_series_euler_bulk(10, 10**6, budget=10**5)
+    with pytest.raises(MemoryError, match="prime sieve"):
+        sl_product_bulk(10, 1e-9, budget=10**5)
+    with pytest.raises(MemoryError, match="bulk product"):
+        singular_series_euler_bulk(10**5, 3, budget=10**5)
+    assert singular._prime_cache["table"] is None
 
 
 # ---------------------------------------------------------------------------
