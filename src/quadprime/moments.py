@@ -168,8 +168,8 @@ def run_sweep(
 
     _check_budget(24 * (y + 1), budget, f"psi, main-term and error arrays over k <= {y}")
     kwargs = {} if segment_size is None else {"segment_size": segment_size}
-    lam = build_lambda_table(1, x * x + y, budget=budget, **kwargs)
-    psi = _psi_bulk(x, y, lam)
+    # no name holds the Lambda table, so it is freed before the main term is built
+    psi = _psi_bulk(x, y, build_lambda_table(1, x * x + y, budget=budget, **kwargs))
 
     if cfg.method == "euler":
         sing = singular_series_euler_bulk(y, max(cfg.euler_cutoff, x), budget=budget)

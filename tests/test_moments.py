@@ -13,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadprime import moments
+from quadprime import moments, singular
 from quadprime.moments import (
     ErrorRecord,
+    _psi_bulk,
     error_record,
     exceptional_count,
     moment_sweep,
@@ -25,8 +26,6 @@ from quadprime.moments import (
     write_errors_csv,
     write_moments_csv,
 )
-from quadprime import singular
-from quadprime.moments import _psi_bulk
 from quadprime.sieve import build_lambda_table
 from quadprime.singular import SingularCfg
 
