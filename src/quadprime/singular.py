@@ -320,11 +320,11 @@ def sl_product(k: int, tol: float) -> float:
     return float(np.prod(_sl_factor(p.astype(np.float64), chi)))
 
 
-def sl_product_bulk(y: int, tol: float, *, budget: int | None = None) -> np.ndarray:
-    """sl_product for every k = 1..y at once (index 0 unused, set to 0), within `budget` as above."""
+def sl_product_bulk(y: int, tol: float) -> np.ndarray:
+    """sl_product for every k = 1..y at once (index 0 unused, set to 0)."""
     if y < 1:
         raise ValueError(f"sl_product_bulk: y must be >= 1, got {y}")
-    return _bulk_product(y, _sl_cutoff(tol), _sl_factor, budget)
+    return _bulk_product(y, _sl_cutoff(tol), _sl_factor)
 
 
 @lru_cache(maxsize=4096)

@@ -344,8 +344,6 @@ def test_bulk_products_check_the_budget(monkeypatch):
     monkeypatch.setitem(singular._prime_cache, "table", None)
     with pytest.raises(MemoryError, match="prime sieve"):
         singular_series_euler_bulk(10, 10**6, budget=10**5)
-    with pytest.raises(MemoryError, match="prime sieve"):
-        sl_product_bulk(10, 1e-9, budget=10**5)
     with pytest.raises(MemoryError, match="bulk product"):
         singular_series_euler_bulk(10**5, 3, budget=10**5)
     assert singular._prime_cache["table"] is None
