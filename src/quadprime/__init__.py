@@ -29,7 +29,6 @@ from .moments import (
     MomentSummary,
     error_record,
     exceptional_count,
-    moment_sweep,
     phi_moment,
     psi_value,
     run_sweep,

@@ -56,12 +56,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _meta(started: float, workers: int = 1) -> dict:
-    return {
-        "version": __version__,
-        "wall_time_s": round(time.monotonic() - started, 3),
-        "workers": workers,
-    }
+def _meta(started: float) -> dict:
+    return {"version": __version__, "wall_time_s": round(time.monotonic() - started, 3)}
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -117,14 +113,7 @@ def cmd_sigma(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.monotonic()
     cfg = SingularCfg(method=args.method, euler_cutoff=args.p, tol=args.tol)
-    result = run_sweep(
-        args.x,
-        args.y,
-        cfg,
-        workers=args.workers,
-        segment_size=args.segment_size,
-        budget=args.budget_bytes,
-    )
+    result = run_sweep(args.x, args.y, cfg, budget=args.budget_bytes)
     os.makedirs(args.out, exist_ok=True)
     s = result.summary
     if args.format != "json":
@@ -132,16 +121,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         write_moments_csv([s], os.path.join(args.out, "moments.csv"))
     else:
         data = {
-            "errors": [
-                {
-                    "k": k,
-                    "squarefree": bool(result.squarefree[k]),
-                    "psi": float(result.psi[k]),
-                    "singular": float(result.singular[k]),
-                    "error": float(result.error[k]),
-                }
-                for k in range(1, args.y + 1)
-            ],
+            "errors": [vars(r) for r in result.records()],
             "moments": {
                 "x": s.x,
                 "y": s.y,
@@ -150,7 +130,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "normalized": s.normalized,
                 "exceptional": {f"B{b:g}": n for b, n in s.exceptional.items()},
             },
-            "meta": _meta(started, args.workers),
+            "meta": _meta(started),
         }
         with open(os.path.join(args.out, "sweep.json"), "w") as fh:
             json.dump(data, fh, indent=2)
@@ -320,15 +300,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="quadprime", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-        p.add_argument("--budget-bytes", type=int, default=None, help="memory budget override")
 
     p = sub.add_parser("psi", help="psi(x; k) from the sieve (+ circle oracle at small x)")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--y", type=int, default=10, help="Lambda-table headroom above x^2")
-    add_common(p)
+    p.add_argument("--budget-bytes", type=int, default=None, help="memory budget override")
+    add_format(p)
     p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("singular", help="singular series S(k)")
@@ -336,13 +316,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", choices=("euler", "lmethod"), default="euler")
     p.add_argument("--p", type=int, default=10_000, help="Euler product cutoff")
     p.add_argument("--tol", type=float, default=1e-6)
-    add_common(p)
+    add_format(p)
     p.set_defaults(func=cmd_singular)
 
     p = sub.add_parser("sigma", help="exact complete exponential sum Sigma(q) at offset k")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    add_common(p)
+    add_format(p)
     p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("sweep", help="error sweep over k = 1..y at fixed x; writes errors + moments")
@@ -351,17 +331,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", choices=("euler", "lmethod"), default="euler")
     p.add_argument("--p", type=int, default=10_000)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
-    p.add_argument("--segment-size", type=int, default=None)
     p.add_argument("--out", default=".")
-    add_common(p)
+    p.add_argument("--budget-bytes", type=int, default=None, help="memory budget override")
+    add_format(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("phi-moment", help="second moment of the Dirichlet tail Phi(k)")
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--q1", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-3)
-    add_common(p)
+    add_format(p)
     p.set_defaults(func=cmd_phi_moment)
 
     p = sub.add_parser("check", help="run an invariant suite")

@@ -185,7 +185,7 @@ def _unit_cycles(q: int) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
     return cycle_logs, unit_mask
 
 
-def build_character_table(q: int, q_ceiling: int = CHARACTER_Q_CEILING) -> CharacterTable:
+def build_character_table(q: int) -> CharacterTable:
     """Character table mod q from the unit-group cycle structure, built as one matrix.
 
     A character is a choice of exponent on each cycle of _unit_cycles(q);
@@ -195,14 +195,14 @@ def build_character_table(q: int, q_ceiling: int = CHARACTER_Q_CEILING) -> Chara
     on the units = 1 mod d, tested per divisor over the rows still open.
     The value matrix is read-only and each Character.values is a row view of
     it, so a shared table cannot be changed through a row.  q is capped by
-    q_ceiling and the build's peak must fit the memory budget.  Each call
+    CHARACTER_Q_CEILING and the build's peak must fit the memory budget.  Each call
     builds anew; _cached_character_table keeps the tables that the
     decompositions revisit.
     """
     if q < 1:
         raise ValueError(f"build_character_table: q must be >= 1, got {q}")
-    if q > q_ceiling:
-        raise ValueError(f"build_character_table: q = {q} over the ceiling {q_ceiling}")
+    if q > CHARACTER_Q_CEILING:
+        raise ValueError(f"build_character_table: q = {q} over the ceiling {CHARACTER_Q_CEILING}")
 
     cycle_logs, unit_mask = _unit_cycles(q)
     phi_q = math.prod(order for order, _ in cycle_logs)
@@ -364,14 +364,7 @@ def decompose_s2(arc: ArcPoint, x: int) -> tuple[complex, complex]:
 # --- circle-method oracle ---------------------------------------------------
 
 
-def circle_psi_oracle(
-    x: int,
-    k: int,
-    y: int,
-    lam: LambdaTable,
-    *,
-    work_ceiling: int = ORACLE_WORK_CEILING,
-) -> float:
+def circle_psi_oracle(x: int, k: int, y: int, lam: LambdaTable) -> float:
     """psi(x; k) recovered by integrating s1 * s2 * e(-alpha k) over [0, 1).
 
     The integrand is a trigonometric polynomial with frequencies spanning
@@ -383,7 +376,7 @@ def circle_psi_oracle(
         raise ValueError(f"circle_psi_oracle: need x >= 1, 1 <= k <= y, got x={x}, k={k}, y={y}")
     z = x * x + y
     n_samples = 1 << (z + x * x + y).bit_length()
-    if n_samples * (z + x) > work_ceiling:
+    if n_samples * (z + x) > ORACLE_WORK_CEILING:
         raise MemoryError(
             f"circle_psi_oracle: {n_samples} samples x {z + x} terms exceeds the work ceiling"
         )

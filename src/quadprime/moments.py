@@ -5,12 +5,11 @@ with the predicted main term S(k) * x.  The headline statistics are the
 second moment of the error over squarefree k, its normalisation by y x^2,
 and exceptional counts at thresholds x / (log x)^B.
 
-Determinism contract: a sweep's output is bit-identical across runs and
-worker counts.  psi accumulation is single-threaded: per block of k, one
-ascending-n array add per n, so every k gets the same additions in the same
-order whatever the block size.  The `workers` argument is accepted and
-validated but has no effect, and every moment is reduced with math.fsum
-(exact summation) in ascending k.
+Determinism contract: a sweep's output is bit-identical across runs.  psi
+accumulation is single-threaded: per block of k, one ascending-n array add
+per n, so every k gets the same additions in the same order whatever the
+block size, and every moment is reduced with math.fsum (exact summation) in
+ascending k.
 """
 
 from __future__ import annotations
@@ -133,33 +132,21 @@ def _psi_bulk(x: int, y: int, lam: LambdaTable) -> np.ndarray:
     return psi
 
 
-def run_sweep(
-    x: int,
-    y: int,
-    cfg: SingularCfg,
-    workers: int = 1,
-    *,
-    segment_size: int | None = None,
-    budget: int | None = None,
-    warn_exponent: float = 3.0,
-) -> SweepResult:
+def run_sweep(x: int, y: int, cfg: SingularCfg, *, budget: int | None = None) -> SweepResult:
     """Full error sweep over k = 1..y at fixed x.
 
     The Euler cutoff is raised to max(cfg.euler_cutoff, x) so the main-term
     truncation error stays well below the psi fluctuation being measured.
-    Warns (without failing) if y falls outside [x^2/(log x)^warn_exponent, x^2].
+    Warns (without failing) if y falls outside [x^2/(log x)^3, x^2].
     `budget` bounds the Lambda table, the psi, main-term and error arrays
     (24 (y + 1) bytes together), a prime sieve for the Euler product and the
     squarefree flags, each checked before it is allocated.
-    `workers` must be >= 1 and has no effect; it is kept for callers that pass it.
     """
     if x < 2:
         raise ValueError(f"run_sweep: x must be >= 2, got {x}")
     if y < 1:
         raise ValueError(f"run_sweep: y must be >= 1, got {y}")
-    if workers < 1:
-        raise ValueError(f"run_sweep: workers must be >= 1, got {workers}")
-    lo_ok = x * x / math.log(x) ** warn_exponent
+    lo_ok = x * x / math.log(x) ** 3
     if not lo_ok <= y <= x * x:
         warnings.warn(
             f"sweep at x={x}: y={y} outside the designed window [{lo_ok:.1f}, {x * x}]",
@@ -167,9 +154,8 @@ def run_sweep(
         )
 
     _check_budget(24 * (y + 1), budget, f"psi, main-term and error arrays over k <= {y}")
-    kwargs = {} if segment_size is None else {"segment_size": segment_size}
     # no name holds the Lambda table, so it is freed before the main term is built
-    psi = _psi_bulk(x, y, build_lambda_table(1, x * x + y, budget=budget, **kwargs))
+    psi = _psi_bulk(x, y, build_lambda_table(1, x * x + y, budget=budget))
 
     if cfg.method == "euler":
         sing = singular_series_euler_bulk(y, max(cfg.euler_cutoff, x), budget=budget)
@@ -199,11 +185,6 @@ def run_sweep(
         exceptional=exceptional,
     )
     return SweepResult(summary=summary, squarefree=sf, psi=psi, singular=sing, error=error)
-
-
-def moment_sweep(x: int, y: int, cfg: SingularCfg, workers: int = 1, **kwargs) -> MomentSummary:
-    """Summary-only wrapper around run_sweep."""
-    return run_sweep(x, y, cfg, workers, **kwargs).summary
 
 
 def exceptional_count(records: list[ErrorRecord], x: int, b: float) -> int:

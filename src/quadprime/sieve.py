@@ -126,23 +126,17 @@ class LambdaTable:
         return self.values[lo - self.lo : hi - self.lo + 1]
 
 
-def build_lambda_table(
-    lo: int,
-    hi: int,
-    segment_size: int = DEFAULT_SEGMENT,
-    budget: int | None = None,
-) -> LambdaTable:
+def build_lambda_table(lo: int, hi: int, budget: int | None = None) -> LambdaTable:
     """Segmented sieve of Lambda(m) over [lo, hi].
 
     Primes in a segment get log m; afterwards every proper prime power p^j
     (j >= 2, p <= sqrt(hi)) inside the window is overwritten with log p.
-    Segments are independent, so segment size only affects the working set,
-    never the output.
+    Segments are DEFAULT_SEGMENT long (read at call time) and independent, so
+    their length only affects the working set, never the output.
 
     Args:
         lo: window start, >= 1.
         hi: window end, >= lo.
-        segment_size: working segment length (default 2**20).
         budget: optional byte budget override.
 
     Returns:
@@ -150,16 +144,14 @@ def build_lambda_table(
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"build_lambda_table: need 1 <= lo <= hi, got [{lo}, {hi}]")
-    if segment_size < 1:
-        raise ValueError(f"build_lambda_table: segment_size must be >= 1, got {segment_size}")
     root = math.isqrt(hi)
     _check_budget(8 * (hi - lo + 1) + root + 1, budget, f"Lambda table over [{lo}, {hi}]")
 
     base = build_prime_table(root, budget=budget).primes
     values = np.zeros(hi - lo + 1, dtype=np.float64)
 
-    for seg_lo in range(lo, hi + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size - 1, hi)
+    for seg_lo in range(lo, hi + 1, DEFAULT_SEGMENT):
+        seg_hi = min(seg_lo + DEFAULT_SEGMENT - 1, hi)
         is_p = np.ones(seg_hi - seg_lo + 1, dtype=bool)
         if seg_lo == 1:
             is_p[0] = False

@@ -181,15 +181,20 @@ def _bulk_product(y: int, cutoff: int, factor, budget: int | None = None) -> np.
     return acc
 
 
+def _prime_product(k: int, cutoff: int, factor) -> float:
+    """prod of factor(p, chi_k(p)) over odd p <= cutoff for the single k, in ascending p."""
+    p = _odd_primes_upto(cutoff)
+    chi = _chi_table(k)[p % (4 * k)].astype(np.float64)
+    return float(np.prod(factor(p.astype(np.float64), chi)))
+
+
 def singular_series_euler(k: int, cutoff: int) -> float:
     """Truncated Euler product over odd primes p <= cutoff (k >= 1, cutoff >= 3)."""
     if k < 1:
         raise ValueError(f"singular_series_euler: k must be >= 1, got {k}")
     if cutoff < 3:
         raise ValueError(f"singular_series_euler: cutoff must be >= 3, got {cutoff}")
-    p = _odd_primes_upto(cutoff)
-    chi = _chi_table(k)[p % (4 * k)].astype(np.float64)
-    return float(np.prod(_euler_factor(p.astype(np.float64), chi)))
+    return _prime_product(k, cutoff, _euler_factor)
 
 
 def singular_series_euler_bulk(y: int, cutoff: int, *, budget: int | None = None) -> np.ndarray:
@@ -227,7 +232,7 @@ def class_number(k: int) -> int:
     return int(np.where(single, 1, 2)[reduced].sum())
 
 
-def l_value(k: int, tol: float, *, n_ceiling: int = L_SUM_CEILING) -> float:
+def l_value(k: int, tol: float) -> float:
     """L(k) = sum over odd n of jacobi(-k, n)/n, to absolute accuracy tol.
 
     Direct summation to N plus the tail's partial-summation main term.  The
@@ -240,7 +245,7 @@ def l_value(k: int, tol: float, *, n_ceiling: int = L_SUM_CEILING) -> float:
     where mu is the period mean of S and B the window bound for the zero-mean
     walk S - mu (both computed exactly from one period, and both controlled by
     the Polya-Vinogradov bound for the modulus).  N = sqrt(2B/tol); if that
-    exceeds n_ceiling the call fails with a diagnostic rather than degrading
+    exceeds L_SUM_CEILING the call fails with a diagnostic rather than degrading
     accuracy.
     """
     if k < 1:
@@ -256,10 +261,10 @@ def l_value(k: int, tol: float, *, n_ceiling: int = L_SUM_CEILING) -> float:
     centered = np.cumsum(s_walk.astype(np.float64) - mu)
     b_window = float(np.max(centered) - np.min(centered))
     n_terms = max(int(math.ceil(math.sqrt(2.0 * b_window / tol))), m, 16)
-    if n_terms > n_ceiling:
+    if n_terms > L_SUM_CEILING:
         raise ValueError(
             f"l_value: direct summation needs N = {n_terms} terms for tol = {tol} "
-            f"(walk bound {b_window:.1f}, modulus {m}), over the ceiling {n_ceiling}"
+            f"(walk bound {b_window:.1f}, modulus {m}), over the ceiling {L_SUM_CEILING}"
         )
     chi_f = chi.astype(np.float64)
     parts = []
@@ -315,9 +320,7 @@ def sl_product(k: int, tol: float) -> float:
         raise ValueError(f"sl_product: k must be >= 1, got {k}")
     if not tol > 0:
         raise ValueError(f"sl_product: tol must be positive, got {tol}")
-    p = _odd_primes_upto(_sl_cutoff(tol))
-    chi = _chi_table(k)[p % (4 * k)].astype(np.float64)
-    return float(np.prod(_sl_factor(p.astype(np.float64), chi)))
+    return _prime_product(k, _sl_cutoff(tol), _sl_factor)
 
 
 def sl_product_bulk(y: int, tol: float) -> np.ndarray:
@@ -327,15 +330,14 @@ def sl_product_bulk(y: int, tol: float) -> np.ndarray:
     return _bulk_product(y, _sl_cutoff(tol), _sl_factor)
 
 
-@lru_cache(maxsize=4096)
 def singular_series_lmethod(k: int, tol: float) -> float:
     """S(k) = SL(k)/L(k), with L(k) exact from the class number formula.
 
     L = pi h(-4k) / (w sqrt(k)) carries only float rounding, so the error
     budget is the product's: sl_product to tol*L/2 keeps the quotient within
     tol/2, half the budget kept as margin.  l_value, the direct sum, is the
-    oracle for L in the tests.  Results are cached per (k, tol) since sweeps
-    over Q1 revisit the same k.
+    oracle for L in the tests.  Nothing is cached: every caller (phi_moment,
+    the lmethod sweep, `singular --k`) asks for each k once.
     """
     if k < 1:
         raise ValueError(f"singular_series_lmethod: k must be >= 1, got {k}")

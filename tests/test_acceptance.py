@@ -52,7 +52,7 @@ def trend_ladder():
     """Four moment sweeps with y = x^2, shared by the two decay checks."""
     cfg = SingularCfg()
     started = time.monotonic()
-    summaries = [run_sweep(x, x * x, cfg, workers=4).summary for x in (100, 200, 400, 800)]
+    summaries = [run_sweep(x, x * x, cfg).summary for x in (100, 200, 400, 800)]
     return summaries, time.monotonic() - started
 
 
@@ -267,8 +267,8 @@ def test_13_sweep_determinism(tmp_path):
     started = time.monotonic()
     cfg = SingularCfg()
     blobs = []
-    for tag, workers in (("a", 1), ("b", 1), ("c", 4)):
-        result = run_sweep(100, 10**4, cfg, workers=workers)
+    for tag in ("a", "b", "c"):
+        result = run_sweep(100, 10**4, cfg)
         e = tmp_path / f"errors_{tag}.csv"
         m = tmp_path / f"moments_{tag}.csv"
         write_errors_csv(result, str(e))
@@ -276,8 +276,8 @@ def test_13_sweep_determinism(tmp_path):
         blobs.append(e.read_bytes() + m.read_bytes())
     ok = blobs[0] == blobs[1] == blobs[2]
     report(
-        "moment sweep byte-identical across runs and worker counts",
+        "moment sweep byte-identical across runs",
         ok,
-        f"x = 100, y = 10^4, runs at workers 1, 1, 4: {len(blobs[0])} bytes each",
+        f"x = 100, y = 10^4, three runs: {len(blobs[0])} bytes each",
         time.monotonic() - started,
     )

@@ -1,11 +1,14 @@
 """Command-line interface: argument handling, output formats, exit codes."""
 
+import argparse
 import csv
+import inspect
 import io
 import json
 
 import pytest
 
+from quadprime import cli
 from quadprime.cli import run
 from quadprime.moments import psi_value
 from quadprime.sieve import build_lambda_table, load_lambda_table, load_prime_table
@@ -71,9 +74,9 @@ def test_sweep_json_layout(tmp_path, capsys):
 
 def test_sweep_deterministic_across_workers(tmp_path, capsys):
     blobs = []
-    for w in ("1", "4"):
-        out = tmp_path / f"w{w}"
-        assert run(["sweep", "--x", "12", "--y", "80", "--out", str(out), "--workers", w]) == 0
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        assert run(["sweep", "--x", "12", "--y", "80", "--out", str(out)]) == 0
         blobs.append((out / "errors.csv").read_bytes())
     capsys.readouterr()
     assert blobs[0] == blobs[1]
@@ -127,4 +130,27 @@ def test_usage_errors_exit_1(capsys):
 
 def test_unknown_command_exits_1(capsys):
     assert run(["frobnicate"]) == 1
+    capsys.readouterr()
+
+
+def test_every_flag_is_read():
+    (subparsers,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in subparsers.choices.items():
+        source = inspect.getsource(parser.get_default("func"))
+        for action in parser._actions:
+            if action.dest != "help":
+                assert f"args.{action.dest}" in source, f"{name}: {action.option_strings or action.dest} is never read"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--x", "10", "--y", "50", "--workers", "2"],
+        ["sweep", "--x", "10", "--y", "50", "--segment-size", "64"],
+        ["sigma", "--q", "5", "--k", "1", "--budget-bytes", "9"],
+    ],
+)
+def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a sweep that did run would write here
+    assert run(argv) == 1
     capsys.readouterr()

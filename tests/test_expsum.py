@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quadprime import expsum
 from quadprime.arith import divisors, mobius_phi
 from quadprime.expsum import (
     ArcPoint,
@@ -390,10 +391,11 @@ def test_circle_oracle_equals_direct_count(lam):
             assert got == pytest.approx(psi_value(x, k, lam), abs=1e-6), (x, k)
 
 
-def test_circle_oracle_work_ceiling():
+def test_circle_oracle_work_ceiling(monkeypatch):
+    monkeypatch.setattr(expsum, "ORACLE_WORK_CEILING", 1000)
     small = build_lambda_table(1, 3000)
     with pytest.raises(MemoryError, match="work"):
-        circle_psi_oracle(50, 1, 1, small, work_ceiling=1000)
+        circle_psi_oracle(50, 1, 1, small)
 
 
 # ---------------------------------------------------------------------------

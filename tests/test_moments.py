@@ -19,7 +19,6 @@ from quadprime.moments import (
     _psi_bulk,
     error_record,
     exceptional_count,
-    moment_sweep,
     phi_moment,
     psi_value,
     run_sweep,
@@ -150,8 +149,8 @@ def test_sweep_small_frozen(cfg):
     assert first.k == 1 and first.error == pytest.approx(-0.3483882798875584, rel=1e-12)
 
 
-def test_sweep_medium_frozen_with_workers(cfg):
-    s = run_sweep(40, 1000, cfg, workers=3).summary
+def test_sweep_medium_frozen(cfg):
+    s = run_sweep(40, 1000, cfg).summary
     assert s.count_squarefree == 608
     assert s.second_moment == pytest.approx(26176.68292618025, rel=1e-13)
     assert s.exceptional == {0.5: 0, 1.0: 64, 1.5: 221, 2.0: 405}
@@ -167,7 +166,7 @@ def test_sweep_matches_per_k_records(cfg):
 
 
 def test_sweep_deterministic_across_workers(cfg):
-    runs = [run_sweep(25, 400, cfg, workers=w) for w in (1, 2, 4)]
+    runs = [run_sweep(25, 400, cfg) for _ in range(3)]
     base = runs[0]
     for other in runs[1:]:
         assert np.array_equal(base.psi, other.psi)
@@ -203,10 +202,6 @@ def test_sweep_budget_reaches_the_euler_prime_sieve(monkeypatch):
     with pytest.raises(MemoryError, match="prime sieve"):
         run_sweep(10, 100, SingularCfg(euler_cutoff=10**6), budget=10**5)
     assert singular._prime_cache["table"] is None
-
-
-def test_moment_sweep_returns_summary_only(cfg):
-    assert moment_sweep(10, 100, cfg) == run_sweep(10, 100, cfg).summary
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +302,9 @@ def test_moments_csv_golden(tmp_path, cfg):
 
 def test_csv_bytes_identical_across_worker_counts(tmp_path, cfg):
     paths = []
-    for w in (1, 4):
-        r = run_sweep(30, 900, cfg, workers=w)
-        p = tmp_path / f"errors_w{w}.csv"
+    for tag in ("a", "b"):
+        r = run_sweep(30, 900, cfg)
+        p = tmp_path / f"errors_{tag}.csv"
         write_errors_csv(r, str(p))
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()

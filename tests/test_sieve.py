@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from quadprime import sieve
 from quadprime.arith import mobius_phi, von_mangoldt
 from quadprime.sieve import (
     build_lambda_table,
@@ -48,9 +49,12 @@ def test_lambda_table_offset_window():
         assert table.lookup(m) == pytest.approx(von_mangoldt(m), abs=1e-12), m
 
 
-def test_lambda_table_segment_size_does_not_change_values():
-    a = build_lambda_table(500, 5000, segment_size=64)
-    b = build_lambda_table(500, 5000, segment_size=4096)
+def test_lambda_table_segment_size_does_not_change_values(monkeypatch):
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 64)
+    a = build_lambda_table(500, 5000)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 4096)
+    b = build_lambda_table(500, 5000)
+    monkeypatch.undo()
     c = build_lambda_table(500, 5000)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.values, c.values)

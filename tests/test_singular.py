@@ -373,9 +373,10 @@ def test_l_value_tolerance_is_honored(tol):
     assert abs(l_value(1, tol) - math.pi / 4) <= tol
 
 
-def test_l_value_ceiling_diagnostic():
+def test_l_value_ceiling_diagnostic(monkeypatch):
+    monkeypatch.setattr(singular, "L_SUM_CEILING", 10)
     with pytest.raises(ValueError, match="ceiling"):
-        l_value(1, 1e-6, n_ceiling=10)
+        l_value(1, 1e-6)
 
 
 def test_l_value_rejects_bad_arguments():
