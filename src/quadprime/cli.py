@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .arith import jacobi, mobius_phi
+from .arith import mobius_phi
 from .errors import VerificationError
 from .expsum import (
     ArcPoint,
@@ -34,14 +34,7 @@ from .expsum import (
     weyl_ratio,
 )
 from .moments import phi_moment, run_sweep, write_errors_csv, write_moments_csv, psi_value
-from .sieve import (
-    build_lambda_table,
-    build_prime_table,
-    build_squarefree_table,
-    save_lambda_table,
-    save_prime_table,
-    save_squarefree_table,
-)
+from .sieve import build_lambda_table, build_prime_table, build_squarefree_table
 from .singular import SingularCfg, sandwich_check, sigma_q, singular_series
 
 # Max |s2| / Weyl envelope over the seeded calibration grid (seed 0, see check_weyl).
@@ -151,17 +144,10 @@ def cmd_phi_moment(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    os.makedirs(args.out, exist_ok=True)
     primes = build_prime_table(args.limit, budget=args.budget_bytes)
-    lam = build_lambda_table(1, args.limit, budget=args.budget_bytes)
     sf = build_squarefree_table(args.limit, budget=args.budget_bytes)
     print(f"primes <= {args.limit}: {primes.count()}")
     print(f"squarefree <= {args.limit}: {sf.count()}")
-    if args.cache:
-        save_prime_table(primes, os.path.join(args.out, f"primes_{args.limit}.prm"))
-        save_lambda_table(lam, os.path.join(args.out, f"lambda_{args.limit}.lam"))
-        save_squarefree_table(sf, os.path.join(args.out, f"squarefree_{args.limit}.sqf"))
-        print(f"cache written to {args.out}")
     return 0
 
 
@@ -351,10 +337,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("tables", help="prebuild sieve tables, optionally cache to disk")
+    p = sub.add_parser("tables", help="count primes and squarefree integers up to --limit")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--out", default=".")
-    p.add_argument("--cache", action="store_true")
     p.add_argument("--budget-bytes", type=int, default=None)
     p.set_defaults(func=cmd_tables)
 

@@ -5,36 +5,18 @@ in fixed-size segments so the peak footprint beyond the output array stays
 bounded; every builder checks a memory budget (default 2 GiB, overridable via
 the QUADPRIME_BUDGET_BYTES environment variable or a keyword) before
 allocating.
-
-Binary cache layout (optional, never consulted implicitly)
-----------------------------------------------------------
-Little-endian throughout::
-
-    magic   4 bytes   b"QPTB"
-    version u32       currently 1
-    lo      u64       first index covered
-    hi      u64       last index covered
-    payload           raw array values, dtype by file kind:
-                        .lam  float64  Lambda(m) for m = lo..hi
-                        .prm  int64    ascending primes <= hi   (lo = 0)
-                        .sqf  uint8    squarefree flags, index 0..hi (lo = 0)
 """
 
 from __future__ import annotations
 
 import math
 import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_SEGMENT = 1 << 20
 DEFAULT_BUDGET_BYTES = 2 << 30
-
-_MAGIC = b"QPTB"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIQQ")
 
 
 def memory_budget(budget: int | None = None) -> int:
@@ -224,59 +206,3 @@ def build_mobius_phi_tables(limit: int, budget: int | None = None) -> tuple[np.n
         phi[p::p] -= phi[p::p] // p
     mu[0] = 0
     return mu, phi
-
-
-# --- binary cache ---------------------------------------------------------
-
-
-def _save(path: str, lo: int, hi: int, payload: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, lo, hi))
-        fh.write(payload.tobytes())
-
-
-def _load(path: str, dtype: str, count: int | None = None) -> tuple[int, int, np.ndarray]:
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        magic, version, lo, hi = _HEADER.unpack(raw)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported cache version {version}")
-        data = np.frombuffer(fh.read(), dtype=dtype)
-    if count is not None and len(data) != count:
-        raise ValueError(f"{path}: payload length {len(data)} != expected {count}")
-    return lo, hi, data
-
-
-def save_lambda_table(table: LambdaTable, path: str) -> None:
-    _save(path, table.lo, table.hi, table.values.astype("<f8"))
-
-
-def load_lambda_table(path: str) -> LambdaTable:
-    lo, hi, data = _load(path, "<f8")
-    if len(data) != hi - lo + 1:
-        raise ValueError(f"{path}: payload length {len(data)} != window [{lo}, {hi}]")
-    return LambdaTable(lo, data.astype(np.float64))
-
-
-def save_prime_table(table: PrimeTable, path: str) -> None:
-    _save(path, 0, table.limit, table.primes.astype("<i8"))
-
-
-def load_prime_table(path: str) -> PrimeTable:
-    _, hi, data = _load(path, "<i8")
-    return PrimeTable(hi, data.astype(np.int64))
-
-
-def save_squarefree_table(table: SquarefreeTable, path: str) -> None:
-    _save(path, 0, table.limit, table.flags.astype("<u1"))
-
-
-def load_squarefree_table(path: str) -> SquarefreeTable:
-    _, hi, data = _load(path, "<u1")
-    if len(data) != hi + 1:
-        raise ValueError(f"{path}: payload length {len(data)} != limit {hi}")
-    return SquarefreeTable(hi, data.astype(bool))

@@ -127,6 +127,7 @@ def _chi_table(k: int) -> np.ndarray:
     exactly when e is odd and n = +-3 mod 8.  The sign row (length 8) and
     each (n/p)^a row (length p, which divides 4k) are tiled over the period.
     """
+    _check_budget(8 * k, None, f"character table mod {4 * k}")
     e = (k & -k).bit_length() - 1
     m = k >> e
     sign = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=np.int8)

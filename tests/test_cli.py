@@ -11,8 +11,8 @@ import pytest
 from quadprime import cli
 from quadprime.cli import run
 from quadprime.moments import psi_value
-from quadprime.sieve import build_lambda_table, load_lambda_table, load_prime_table
-from quadprime.singular import singular_series_euler
+from quadprime.sieve import build_lambda_table
+from quadprime.singular import singular_series_euler, singular_series_lmethod
 
 
 def test_psi_plain_output(capsys):
@@ -72,7 +72,7 @@ def test_sweep_json_layout(tmp_path, capsys):
     assert set(data["errors"][0]) == {"k", "squarefree", "psi", "singular", "error"}
 
 
-def test_sweep_deterministic_across_workers(tmp_path, capsys):
+def test_sweep_deterministic_across_runs(tmp_path, capsys):
     blobs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
@@ -80,6 +80,23 @@ def test_sweep_deterministic_across_workers(tmp_path, capsys):
         blobs.append((out / "errors.csv").read_bytes())
     capsys.readouterr()
     assert blobs[0] == blobs[1]
+
+
+def test_sweep_lmethod_csv_matches_library(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["sweep", "--x", "50", "--y", "400", "--method", "lmethod", "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out / "errors.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["k"]) for row in rows] == list(range(1, 401))
+    for row in rows:
+        assert row["singular"] == format(singular_series_lmethod(int(row["k"]), 1e-6), ".12g"), row["k"]
+
+
+def test_singular_checks_the_character_table_budget(monkeypatch, capsys):
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", "100000")
+    assert run(["singular", "--k", "1000000", "--p", "5000"]) == 1
+    assert "character table mod 4000000" in capsys.readouterr().err
 
 
 def test_singular_lmethod_at_tight_tol(capsys):
@@ -111,14 +128,9 @@ def test_check_suites_pass(argv, capsys):
     assert "ok" in capsys.readouterr().out
 
 
-def test_tables_cache_roundtrip(tmp_path, capsys):
-    out = str(tmp_path)
-    assert run(["tables", "--limit", "4000", "--out", out, "--cache"]) == 0
-    capsys.readouterr()
-    primes = load_prime_table(str(tmp_path / "primes_4000.prm"))
-    assert primes.primes[-1] == 3989
-    lam = load_lambda_table(str(tmp_path / "lambda_4000.lam"))
-    assert lam.lookup(3989) == pytest.approx(build_lambda_table(1, 4000).lookup(3989))
+def test_tables_counts(capsys):
+    assert run(["tables", "--limit", "4000"]) == 0
+    assert capsys.readouterr().out == "primes <= 4000: 550\nsquarefree <= 4000: 2433\n"
 
 
 def test_usage_errors_exit_1(capsys):
@@ -148,6 +160,8 @@ def test_every_flag_is_read():
         ["sweep", "--x", "10", "--y", "50", "--workers", "2"],
         ["sweep", "--x", "10", "--y", "50", "--segment-size", "64"],
         ["sigma", "--q", "5", "--k", "1", "--budget-bytes", "9"],
+        ["tables", "--limit", "100", "--cache"],
+        ["tables", "--limit", "100", "--out", "x"],
     ],
 )
 def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):

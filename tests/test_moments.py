@@ -26,7 +26,7 @@ from quadprime.moments import (
     write_moments_csv,
 )
 from quadprime.sieve import build_lambda_table
-from quadprime.singular import SingularCfg
+from quadprime.singular import SingularCfg, singular_series_lmethod
 
 
 def brute_lambda(m):
@@ -165,13 +165,21 @@ def test_sweep_matches_per_k_records(cfg):
         assert r.singular[k] == pytest.approx(rec.singular, rel=1e-13), k
 
 
-def test_sweep_deterministic_across_workers(cfg):
+def test_sweep_deterministic_across_runs(cfg):
     runs = [run_sweep(25, 400, cfg) for _ in range(3)]
     base = runs[0]
     for other in runs[1:]:
         assert np.array_equal(base.psi, other.psi)
         assert np.array_equal(base.error, other.error)
         assert base.summary == other.summary
+
+
+def test_sweep_lmethod_route_matches_per_k(s_via_l_value):
+    r = run_sweep(20, 400, SingularCfg(method="lmethod", tol=1e-6))
+    for k in range(1, 401):
+        assert r.singular[k] == singular_series_lmethod(k, 1e-6), k
+    for k in (1, 2, 3, 5, 97, 210, 399, 400):
+        assert abs(r.singular[k] - s_via_l_value(k, 1e-8)) <= 1e-6, k
 
 
 def test_sweep_warns_on_disproportionate_y(cfg):
@@ -300,7 +308,7 @@ def test_moments_csv_golden(tmp_path, cfg):
     assert lines[1] == "10,100,61,335.747202788,0.0335747202788,1,3,14,24"
 
 
-def test_csv_bytes_identical_across_worker_counts(tmp_path, cfg):
+def test_csv_bytes_identical_across_runs(tmp_path, cfg):
     paths = []
     for tag in ("a", "b"):
         r = run_sweep(30, 900, cfg)

@@ -10,13 +10,7 @@ from quadprime.sieve import (
     build_mobius_phi_tables,
     build_prime_table,
     build_squarefree_table,
-    load_lambda_table,
-    load_prime_table,
-    load_squarefree_table,
     memory_budget,
-    save_lambda_table,
-    save_prime_table,
-    save_squarefree_table,
 )
 
 # pi(10^n) for n = 1..7
@@ -106,54 +100,6 @@ def test_mobius_phi_tables_match_scalar():
     mu, phi = build_mobius_phi_tables(2000)
     for n in range(1, 2001):
         assert (int(mu[n]), int(phi[n])) == mobius_phi(n), n
-
-
-# ---------------------------------------------------------------------------
-# binary caches
-
-
-def test_lambda_cache_roundtrip(tmp_path):
-    table = build_lambda_table(50, 4000)
-    path = str(tmp_path / "window.lam")
-    save_lambda_table(table, path)
-    back = load_lambda_table(path)
-    assert back.lo == table.lo and back.hi == table.hi
-    assert np.array_equal(back.values, table.values)
-
-
-def test_prime_cache_roundtrip(tmp_path):
-    table = build_prime_table(10**5)
-    path = str(tmp_path / "primes.prm")
-    save_prime_table(table, path)
-    back = load_prime_table(path)
-    assert back.limit == table.limit
-    assert np.array_equal(back.primes, table.primes)
-
-
-def test_squarefree_cache_roundtrip(tmp_path):
-    table = build_squarefree_table(5000)
-    path = str(tmp_path / "flags.sqf")
-    save_squarefree_table(table, path)
-    back = load_squarefree_table(path)
-    assert back.limit == table.limit
-    assert np.array_equal(back.flags, table.flags)
-
-
-def test_cache_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bogus.lam"
-    path.write_bytes(b"NOPE" + b"\x00" * 30)
-    with pytest.raises(ValueError, match="magic"):
-        load_lambda_table(str(path))
-
-
-def test_cache_rejects_truncated_payload(tmp_path):
-    table = build_lambda_table(1, 100)
-    path = tmp_path / "cut.lam"
-    save_lambda_table(table, str(path))
-    good = path.read_bytes()
-    path.write_bytes(good[:-8])
-    with pytest.raises(ValueError, match="length"):
-        load_lambda_table(str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,12 @@ def test_tiled_chi_table_equals_gather_oracle():
         assert _chi_table(k).tobytes() == chi_table_gather(k).tobytes(), k
 
 
+def test_chi_table_checks_the_budget(monkeypatch):
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(10**5))
+    with pytest.raises(MemoryError, match="character table mod 4000000"):
+        _chi_table.__wrapped__(10**6)
+
+
 # ---------------------------------------------------------------------------
 # Euler-product evaluations
 
