@@ -25,10 +25,7 @@ from .expsum import (
     weyl_ratio,
 )
 from .moments import (
-    ErrorRecord,
     MomentSummary,
-    error_record,
-    exceptional_count,
     phi_moment,
     psi_value,
     run_sweep,

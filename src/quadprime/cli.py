@@ -114,7 +114,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         write_moments_csv([s], os.path.join(args.out, "moments.csv"))
     else:
         data = {
-            "errors": [vars(r) for r in result.records()],
+            "errors": {
+                "k": list(range(1, s.y + 1)),
+                "squarefree": result.squarefree[1:].tolist(),
+                "psi": result.psi[1:].tolist(),
+                "singular": result.singular[1:].tolist(),
+                "error": result.error[1:].tolist(),
+            },
             "moments": {
                 "x": s.x,
                 "y": s.y,

@@ -26,7 +26,6 @@ from .singular import (
     SingularCfg,
     singular_series_euler_bulk,
     singular_series_lmethod,
-    singular_series,
     tail_phi,
 )
 
@@ -34,17 +33,6 @@ EXCEPTIONAL_B_GRID = (0.5, 1.0, 1.5, 2.0)
 _CSV_BLOCK = 1 << 16
 _PSI_BLOCK = 1 << 15
 _CSV_ROW = "%d,%d,%.12g,%.12g,%.12g\r\n"
-
-
-@dataclass
-class ErrorRecord:
-    """One progression offset k: sieved count, predicted main term, difference."""
-
-    k: int
-    squarefree: bool
-    psi: float
-    singular: float
-    error: float
 
 
 @dataclass
@@ -69,18 +57,6 @@ class SweepResult:
     singular: np.ndarray
     error: np.ndarray
 
-    def records(self) -> list[ErrorRecord]:
-        return [
-            ErrorRecord(
-                k=k,
-                squarefree=bool(self.squarefree[k]),
-                psi=float(self.psi[k]),
-                singular=float(self.singular[k]),
-                error=float(self.error[k]),
-            )
-            for k in range(1, self.summary.y + 1)
-        ]
-
 
 def _exceptional_threshold(x: int, b: float) -> float:
     """The exceptional-set threshold x / (log x)^b."""
@@ -96,23 +72,6 @@ def psi_value(x: int, k: int, lam: LambdaTable) -> float:
     if not lam.covers(1 + k, x * x + k):
         raise IndexError(f"Lambda table covers [{lam.lo}, {lam.hi}], psi needs up to {x * x + k}")
     return float(np.sum(lam.values[idx - lam.lo]))
-
-
-def error_record(
-    k: int,
-    x: int,
-    lam: LambdaTable,
-    cfg: SingularCfg,
-    squarefree: bool | None = None,
-) -> ErrorRecord:
-    """psi, main term and error for a single k (squarefree flag computed if absent)."""
-    if squarefree is None:
-        from .arith import mobius_phi
-
-        squarefree = mobius_phi(k)[0] != 0
-    psi = psi_value(x, k, lam)
-    sing = singular_series(k, cfg)
-    return ErrorRecord(k=k, squarefree=bool(squarefree), psi=psi, singular=sing, error=psi - sing * x)
 
 
 def _psi_bulk(x: int, y: int, lam: LambdaTable) -> np.ndarray:
@@ -185,14 +144,6 @@ def run_sweep(x: int, y: int, cfg: SingularCfg, *, budget: int | None = None) ->
         exceptional=exceptional,
     )
     return SweepResult(summary=summary, squarefree=sf, psi=psi, singular=sing, error=error)
-
-
-def exceptional_count(records: list[ErrorRecord], x: int, b: float) -> int:
-    """How many squarefree records exceed |error| > x / (log x)^b."""
-    if x < 2:
-        raise ValueError(f"exceptional_count: x must be >= 2, got {x}")
-    threshold = _exceptional_threshold(x, b)
-    return sum(1 for r in records if r.squarefree and abs(r.error) > threshold)
 
 
 def phi_moment(y: int, q1: int, tol: float) -> float:

@@ -223,8 +223,11 @@ def class_number(k: int) -> int:
     """
     if k < 1:
         raise ValueError(f"class_number: k must be >= 1, got {k}")
-    a = np.arange(1, math.isqrt(4 * k // 3) + 1, dtype=np.int64)[:, None]
-    t = np.arange(len(a) // 2 + 1, dtype=np.int64)
+    a_max = math.isqrt(4 * k // 3)
+    # an int64 remainder and a bool mask per (a, t) cell; the measured peak is 9-10 bytes per cell
+    _check_budget(12 * a_max * (a_max // 2 + 1), None, f"class-number grid for k = {k}")
+    a = np.arange(1, a_max + 1, dtype=np.int64)[:, None]
+    t = np.arange(a_max // 2 + 1, dtype=np.int64)
     row, t = np.nonzero(((k + t * t) % a == 0) & (2 * t <= a))
     a = row + 1
     c = (k + t * t) // a

@@ -10,9 +10,10 @@ import pytest
 
 from quadprime import cli
 from quadprime.cli import run
-from quadprime.moments import psi_value
+from quadprime import singular
+from quadprime.moments import psi_value, run_sweep
 from quadprime.sieve import build_lambda_table
-from quadprime.singular import singular_series_euler, singular_series_lmethod
+from quadprime.singular import SingularCfg, singular_series_euler, singular_series_lmethod
 
 
 def test_psi_plain_output(capsys):
@@ -67,9 +68,14 @@ def test_sweep_json_layout(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run(["sweep", "--x", "10", "--y", "50", "--out", out, "--format", "json"]) == 0
     data = json.loads((tmp_path / "run" / "sweep.json").read_text())
-    assert len(data["errors"]) == 50
+    errors = data["errors"]
+    assert set(errors) == {"k", "squarefree", "psi", "singular", "error"}
+    assert all(len(col) == 50 for col in errors.values())
+    assert errors["k"] == list(range(1, 51))
+    r = run_sweep(10, 50, SingularCfg())
+    for name in ("squarefree", "psi", "singular", "error"):
+        assert errors[name] == getattr(r, name)[1:].tolist(), name
     assert data["moments"]["count_squarefree"] == 31
-    assert set(data["errors"][0]) == {"k", "squarefree", "psi", "singular", "error"}
 
 
 def test_sweep_deterministic_across_runs(tmp_path, capsys):
@@ -99,6 +105,12 @@ def test_singular_checks_the_character_table_budget(monkeypatch, capsys):
     assert "character table mod 4000000" in capsys.readouterr().err
 
 
+def test_singular_checks_the_class_number_grid_budget(monkeypatch, capsys):
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", "100000")
+    assert run(["singular", "--k", "1000000", "--method", "lmethod"]) == 1
+    assert "class-number grid for k = 1000000" in capsys.readouterr().err
+
+
 def test_singular_lmethod_at_tight_tol(capsys):
     assert run(["singular", "--k", "1", "--method", "lmethod", "--tol", "1e-7", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -126,6 +138,16 @@ def test_phi_moment_command(capsys, phi_moment_via_l_value):
 def test_check_suites_pass(argv, capsys):
     assert run(argv) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_check_sandwich_reports_violations(monkeypatch, capsys):
+    monkeypatch.setattr(singular, "sandwich_bounds", lambda: (1.0, 1.0))
+    assert run(["check", "sandwich", "--kmax", "50"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "sandwich: squarefree k <= 50 at tol 0.0001, 31 violations -> FAIL"
+    assert len(lines) == 11
+    assert all(line.startswith("  k=") and ": product " in line for line in lines[1:])
+    assert lines[1] == "  k=1: product 1.0782051598474778"
 
 
 def test_tables_counts(capsys):

@@ -1,4 +1,4 @@
-"""Error records, moment sweeps, exceptional-set counts, tail moments, CSV output.
+"""psi(x; k), the error psi - S(k) x, moment sweeps, exceptional sets, tail moments, CSV output.
 
 The prime-power weight oracle at the top is a from-scratch trial-division
 implementation so the counting side is checked independently of the sieve.
@@ -15,10 +15,7 @@ from hypothesis import strategies as st
 
 from quadprime import moments, singular
 from quadprime.moments import (
-    ErrorRecord,
     _psi_bulk,
-    error_record,
-    exceptional_count,
     phi_moment,
     psi_value,
     run_sweep,
@@ -26,7 +23,7 @@ from quadprime.moments import (
     write_moments_csv,
 )
 from quadprime.sieve import build_lambda_table
-from quadprime.singular import SingularCfg, singular_series_lmethod
+from quadprime.singular import SingularCfg, singular_series, singular_series_lmethod
 
 
 def brute_lambda(m):
@@ -112,24 +109,17 @@ def test_psi_needs_covering_table():
 
 
 # ---------------------------------------------------------------------------
-# single records
+# one k
 
 
-def test_error_record_arithmetic(lam, cfg):
-    rec = error_record(7, 10, lam, cfg)
-    assert rec == ErrorRecord(
-        k=7,
-        squarefree=True,
-        psi=20.30953985760414,
-        singular=1.9710948911100645,
-        error=0.5985909465034958,
-    )
-    assert rec.error == pytest.approx(rec.psi - rec.singular * 10, abs=1e-12)
-
-
-def test_error_record_squarefree_flag(lam, cfg):
-    assert not error_record(12, 10, lam, cfg).squarefree
-    assert error_record(10, 10, lam, cfg).squarefree
+def test_error_arithmetic_at_one_k(lam, cfg):
+    psi = psi_value(10, 7, lam)
+    sing = singular_series(7, cfg)
+    assert psi == 20.30953985760414
+    assert sing == 1.9710948911100645
+    assert psi - sing * 10 == 0.5985909465034958
+    r = run_sweep(10, 100, cfg)
+    assert r.error[7] == pytest.approx(r.psi[7] - r.singular[7] * 10, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +135,7 @@ def test_sweep_small_frozen(cfg):
     assert s.normalized == pytest.approx(0.033574720278846955, rel=1e-13)
     assert s.exceptional == {0.5: 1, 1.0: 3, 1.5: 14, 2.0: 24}
     assert len(r.error) == 101  # index = k, slot 0 unused
-    first = r.records()[0]
-    assert first.k == 1 and first.error == pytest.approx(-0.3483882798875584, rel=1e-12)
+    assert r.error[1] == pytest.approx(-0.3483882798875584, rel=1e-12)
 
 
 def test_sweep_medium_frozen(cfg):
@@ -160,9 +149,8 @@ def test_sweep_matches_per_k_records(cfg):
     lam = build_lambda_table(1, 15 * 15 + 60)
     r = run_sweep(15, 60, cfg)
     for k in range(1, 61):
-        rec = error_record(k, 15, lam, cfg)
-        assert r.psi[k] == pytest.approx(rec.psi, abs=1e-12), k
-        assert r.singular[k] == pytest.approx(rec.singular, rel=1e-13), k
+        assert r.psi[k] == pytest.approx(psi_value(15, k, lam), abs=1e-12), k
+        assert r.singular[k] == pytest.approx(singular_series(k, cfg), rel=1e-13), k
 
 
 def test_sweep_deterministic_across_runs(cfg):
@@ -213,29 +201,21 @@ def test_sweep_budget_reaches_the_euler_prime_sieve(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# exceptional counts
+# exceptional sets
 
 
-def test_exceptional_count_matches_manual_filter(cfg):
-    r = run_sweep(20, 300, cfg)
-    records = r.records()
-    for b in (0.5, 1.0, 2.0):
-        threshold = 20 / math.log(20) ** b
-        manual = sum(1 for rec in records if rec.squarefree and abs(rec.error) > threshold)
-        assert exceptional_count(records, 20, b) == manual
-
-
-def test_exceptional_count_agrees_with_sweep_summary(cfg):
+def test_exceptional_set_agrees_with_sweep_summary(cfg):
     for x, y in ((20, 300), (30, 500)):
         r = run_sweep(x, y, cfg)
-        records = r.records()
         for b in moments.EXCEPTIONAL_B_GRID:
-            assert exceptional_count(records, x, b) == r.summary.exceptional[b], (x, b)
+            threshold = x / math.log(x) ** b
+            plain = sum(1 for k in range(1, y + 1) if r.squarefree[k] and abs(r.error[k]) > threshold)
+            assert r.summary.exceptional[b] == plain, (x, b)
 
 
-def test_exceptional_count_monotone_in_b(cfg):
-    records = run_sweep(30, 500, cfg).records()
-    counts = [exceptional_count(records, 30, b) for b in (0.5, 1.0, 1.5, 2.0)]
+def test_exceptional_set_monotone_in_b(cfg):
+    exceptional = run_sweep(30, 500, cfg).summary.exceptional
+    counts = [exceptional[b] for b in (0.5, 1.0, 1.5, 2.0)]
     assert counts == sorted(counts)
 
 
@@ -291,8 +271,9 @@ def test_errors_csv_bytes_match_csv_writer_across_blocks(tmp_path, cfg, monkeypa
     with open(want, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "squarefree", "psi", "singular", "error"])
-        for rec in r.records():
-            w.writerow([rec.k, int(rec.squarefree)] + [format(v, ".12g") for v in (rec.psi, rec.singular, rec.error)])
+        for k in range(1, 101):
+            floats = (r.psi[k], r.singular[k], r.error[k])
+            w.writerow([k, int(r.squarefree[k])] + [format(float(v), ".12g") for v in floats])
     monkeypatch.setattr(moments, "_CSV_BLOCK", 7)  # 100 rows: 14 full blocks and a partial one
     got = tmp_path / "got.csv"
     write_errors_csv(r, str(got))

@@ -416,6 +416,12 @@ def test_class_number_rejects_bad_arguments():
         class_number(0)
 
 
+def test_class_number_checks_the_budget(monkeypatch):
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(10**5))
+    with pytest.raises(MemoryError, match="class-number grid for k = 1000000"):
+        class_number(10**6)
+
+
 @settings(max_examples=10, deadline=None)
 @given(k=st.integers(1, 5000))
 @example(k=1)
