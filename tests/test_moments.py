@@ -119,6 +119,7 @@ def test_error_arithmetic_at_one_k(lam, cfg):
     assert sing == 1.9710948911100645
     assert psi - sing * 10 == 0.5985909465034958
     r = run_sweep(10, 100, cfg)
+    assert r.squarefree[7]
     assert r.error[7] == pytest.approx(r.psi[7] - r.singular[7] * 10, abs=1e-12)
 
 
