@@ -45,7 +45,7 @@ from .singular import (
     dirichlet_partial,
     l_value,
     sandwich_bounds,
-    sandwich_check,
+    sandwich_violations,
     sigma_q,
     singular_series,
     singular_series_euler,

@@ -35,7 +35,7 @@ from .expsum import (
 )
 from .moments import phi_moment, run_sweep, write_errors_csv, write_moments_csv, psi_value
 from .sieve import build_lambda_table, build_prime_table, build_squarefree_table
-from .singular import SingularCfg, sandwich_check, sigma_q, singular_series
+from .singular import SingularCfg, sandwich_violations, sigma_q, singular_series
 
 # Max |s2| / Weyl envelope over the seeded calibration grid (seed 0, see check_weyl).
 # Re-runs must stay within 5% of this recorded value.
@@ -71,12 +71,11 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def cmd_psi(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    z = args.x * args.x + max(args.y, args.k)
-    lam = build_lambda_table(1, z, budget=args.budget_bytes)
+    lam = build_lambda_table(1, args.x * args.x + args.k)
     value = psi_value(args.x, args.k, lam)
     payload = {"x": args.x, "k": args.k, "psi": value}
     if args.x <= 20:
-        oracle = circle_psi_oracle(args.x, args.k, max(args.y, args.k), lam)
+        oracle = circle_psi_oracle(args.x, args.k, args.k, lam)
         payload["oracle"] = oracle
         if abs(oracle - value) > 1e-6:
             print(f"psi mismatch: sieve {value} vs circle oracle {oracle}", file=sys.stderr)
@@ -106,7 +105,7 @@ def cmd_sigma(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.monotonic()
     cfg = SingularCfg(method=args.method, euler_cutoff=args.p, tol=args.tol)
-    result = run_sweep(args.x, args.y, cfg, budget=args.budget_bytes)
+    result = run_sweep(args.x, args.y, cfg)
     os.makedirs(args.out, exist_ok=True)
     s = result.summary
     if args.format != "json":
@@ -150,8 +149,8 @@ def cmd_phi_moment(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    primes = build_prime_table(args.limit, budget=args.budget_bytes)
-    sf = build_squarefree_table(args.limit, budget=args.budget_bytes)
+    primes = build_prime_table(args.limit)
+    sf = build_squarefree_table(args.limit)
     print(f"primes <= {args.limit}: {primes.count()}")
     print(f"squarefree <= {args.limit}: {sf.count()}")
     return 0
@@ -258,14 +257,7 @@ def check_gauss(q_max: int = 50) -> bool:
 
 
 def check_sandwich(k_max: int, tol: float) -> bool:
-    sf = build_squarefree_table(k_max)
-    bad = []
-    for k in range(1, k_max + 1):
-        if not sf.flags[k]:
-            continue
-        rep = sandwich_check(k, tol)
-        if not rep.passed:
-            bad.append((k, rep.product))
+    bad = sandwich_violations(k_max, tol)
     ok = not bad
     print(f"sandwich: squarefree k <= {k_max} at tol {tol:g}, {len(bad)} violations -> {'ok' if ok else 'FAIL'}")
     for k, product in bad[:10]:
@@ -298,8 +290,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("psi", help="psi(x; k) from the sieve (+ circle oracle at small x)")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--y", type=int, default=10, help="Lambda-table headroom above x^2")
-    p.add_argument("--budget-bytes", type=int, default=None, help="memory budget override")
     add_format(p)
     p.set_defaults(func=cmd_psi)
 
@@ -324,7 +314,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=int, default=10_000)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out", default=".")
-    p.add_argument("--budget-bytes", type=int, default=None, help="memory budget override")
     add_format(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -345,7 +334,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("tables", help="count primes and squarefree integers up to --limit")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--budget-bytes", type=int, default=None)
     p.set_defaults(func=cmd_tables)
 
     return parser

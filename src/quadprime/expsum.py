@@ -209,7 +209,7 @@ def build_character_table(q: int) -> CharacterTable:
     # peak bytes per entry: 32 while the values are built (complex phases on the
     # units, exponentiated in place, beside the zeroed matrix), then 16 plus a
     # conductor block of <= q/2 columns (d > 1) at 41 bytes a cell; 40 bounds both
-    _check_budget(phi_q * q * 40, None, f"character table mod {q} ({phi_q}x{q} entries at 40 bytes)")
+    _check_budget(phi_q * q * 40, f"character table mod {q} ({phi_q}x{q} entries at 40 bytes)")
 
     units = np.flatnonzero(unit_mask)
     rem = np.arange(phi_q, dtype=np.int64)

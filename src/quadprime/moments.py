@@ -91,15 +91,15 @@ def _psi_bulk(x: int, y: int, lam: LambdaTable) -> np.ndarray:
     return psi
 
 
-def run_sweep(x: int, y: int, cfg: SingularCfg, *, budget: int | None = None) -> SweepResult:
+def run_sweep(x: int, y: int, cfg: SingularCfg) -> SweepResult:
     """Full error sweep over k = 1..y at fixed x.
 
     The Euler cutoff is raised to max(cfg.euler_cutoff, x) so the main-term
     truncation error stays well below the psi fluctuation being measured.
     Warns (without failing) if y falls outside [x^2/(log x)^3, x^2].
-    `budget` bounds the Lambda table, the psi, main-term and error arrays
-    (24 (y + 1) bytes together), a prime sieve for the Euler product and the
-    squarefree flags, each checked before it is allocated.
+    The Lambda table, the psi, main-term and error arrays (24 (y + 1) bytes
+    together), the main term's prime sieve and the squarefree flags are each
+    checked against the memory budget before they are allocated.
     """
     if x < 2:
         raise ValueError(f"run_sweep: x must be >= 2, got {x}")
@@ -112,12 +112,12 @@ def run_sweep(x: int, y: int, cfg: SingularCfg, *, budget: int | None = None) ->
             stacklevel=2,
         )
 
-    _check_budget(24 * (y + 1), budget, f"psi, main-term and error arrays over k <= {y}")
+    _check_budget(24 * (y + 1), f"psi, main-term and error arrays over k <= {y}")
     # no name holds the Lambda table, so it is freed before the main term is built
-    psi = _psi_bulk(x, y, build_lambda_table(1, x * x + y, budget=budget))
+    psi = _psi_bulk(x, y, build_lambda_table(1, x * x + y))
 
     if cfg.method == "euler":
-        sing = singular_series_euler_bulk(y, max(cfg.euler_cutoff, x), budget=budget)
+        sing = singular_series_euler_bulk(y, max(cfg.euler_cutoff, x))
     else:
         sing = np.zeros(y + 1)
         for k in range(1, y + 1):
@@ -125,7 +125,7 @@ def run_sweep(x: int, y: int, cfg: SingularCfg, *, budget: int | None = None) ->
 
     error = psi - sing * float(x)
     error[0] = 0.0
-    sf = build_squarefree_table(y, budget=budget).flags
+    sf = build_squarefree_table(y).flags
 
     sf_errors = error[1:][sf[1:]]
     second_moment = math.fsum(v * v for v in sf_errors.tolist())

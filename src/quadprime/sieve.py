@@ -2,9 +2,8 @@
 
 All builders are pure numpy and deterministic.  The von Mangoldt builder works
 in fixed-size segments so the peak footprint beyond the output array stays
-bounded; every builder checks a memory budget (default 2 GiB, overridable via
-the QUADPRIME_BUDGET_BYTES environment variable or a keyword) before
-allocating.
+bounded; every builder checks the memory budget (the QUADPRIME_BUDGET_BYTES
+environment variable, else 2 GiB) before allocating.
 """
 
 from __future__ import annotations
@@ -19,18 +18,16 @@ DEFAULT_SEGMENT = 1 << 20
 DEFAULT_BUDGET_BYTES = 2 << 30
 
 
-def memory_budget(budget: int | None = None) -> int:
-    """Resolve the effective byte budget: explicit arg, else env, else 2 GiB."""
-    if budget is not None:
-        return int(budget)
+def memory_budget() -> int:
+    """The byte budget: QUADPRIME_BUDGET_BYTES if set, else 2 GiB."""
     env = os.environ.get("QUADPRIME_BUDGET_BYTES")
     if env is not None:
         return int(env)
     return DEFAULT_BUDGET_BYTES
 
 
-def _check_budget(nbytes: int, budget: int | None, what: str) -> None:
-    limit = memory_budget(budget)
+def _check_budget(nbytes: int, what: str) -> None:
+    limit = memory_budget()
     if nbytes > limit:
         raise MemoryError(
             f"{what} needs {nbytes} bytes, over the {limit}-byte budget "
@@ -54,19 +51,18 @@ class PrimeTable:
         return len(self.primes)
 
 
-def build_prime_table(limit: int, budget: int | None = None) -> PrimeTable:
+def build_prime_table(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to `limit` (inclusive).
 
     Args:
         limit: inclusive upper bound, >= 0.
-        budget: optional byte budget override.
 
     Returns:
         PrimeTable with an int64 prime array.
     """
     if limit < 0:
         raise ValueError(f"build_prime_table: limit must be >= 0, got {limit}")
-    _check_budget(limit + 1, budget, f"prime sieve to {limit}")
+    _check_budget(limit + 1, f"prime sieve to {limit}")
     if limit < 2:
         return PrimeTable(limit, np.empty(0, dtype=np.int64))
     flags = np.ones(limit + 1, dtype=bool)
@@ -108,7 +104,7 @@ class LambdaTable:
         return self.values[lo - self.lo : hi - self.lo + 1]
 
 
-def build_lambda_table(lo: int, hi: int, budget: int | None = None) -> LambdaTable:
+def build_lambda_table(lo: int, hi: int) -> LambdaTable:
     """Segmented sieve of Lambda(m) over [lo, hi].
 
     Primes in a segment get log m; afterwards every proper prime power p^j
@@ -119,7 +115,6 @@ def build_lambda_table(lo: int, hi: int, budget: int | None = None) -> LambdaTab
     Args:
         lo: window start, >= 1.
         hi: window end, >= lo.
-        budget: optional byte budget override.
 
     Returns:
         LambdaTable covering [lo, hi].
@@ -127,9 +122,9 @@ def build_lambda_table(lo: int, hi: int, budget: int | None = None) -> LambdaTab
     if lo < 1 or hi < lo:
         raise ValueError(f"build_lambda_table: need 1 <= lo <= hi, got [{lo}, {hi}]")
     root = math.isqrt(hi)
-    _check_budget(8 * (hi - lo + 1) + root + 1, budget, f"Lambda table over [{lo}, {hi}]")
+    _check_budget(8 * (hi - lo + 1) + root + 1, f"Lambda table over [{lo}, {hi}]")
 
-    base = build_prime_table(root, budget=budget).primes
+    base = build_prime_table(root).primes
     values = np.zeros(hi - lo + 1, dtype=np.float64)
 
     for seg_lo in range(lo, hi + 1, DEFAULT_SEGMENT):
@@ -173,20 +168,20 @@ class SquarefreeTable:
         return int(np.count_nonzero(self.flags))
 
 
-def build_squarefree_table(limit: int, budget: int | None = None) -> SquarefreeTable:
+def build_squarefree_table(limit: int) -> SquarefreeTable:
     """Flag squarefree integers up to `limit` by striking p^2 multiples."""
     if limit < 1:
         raise ValueError(f"build_squarefree_table: limit must be >= 1, got {limit}")
-    _check_budget(limit + 1, budget, f"squarefree table to {limit}")
+    _check_budget(limit + 1, f"squarefree table to {limit}")
     flags = np.ones(limit + 1, dtype=bool)
     flags[0] = False
-    for p in build_prime_table(math.isqrt(limit), budget=budget).primes:
+    for p in build_prime_table(math.isqrt(limit)).primes:
         sq = int(p) * int(p)
         flags[sq::sq] = False
     return SquarefreeTable(limit, flags)
 
 
-def build_mobius_phi_tables(limit: int, budget: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def build_mobius_phi_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Mu and phi for 0..limit as (int8, int64) arrays.
 
     mu[0] and phi[0] are 0 by convention.  Each prime is applied once:
@@ -195,10 +190,10 @@ def build_mobius_phi_tables(limit: int, budget: int | None = None) -> tuple[np.n
     """
     if limit < 1:
         raise ValueError(f"build_mobius_phi_tables: limit must be >= 1, got {limit}")
-    _check_budget(9 * (limit + 1), budget, f"mu/phi tables to {limit}")
+    _check_budget(9 * (limit + 1), f"mu/phi tables to {limit}")
     mu = np.ones(limit + 1, dtype=np.int8)
     phi = np.arange(limit + 1, dtype=np.int64)
-    for p in build_prime_table(limit, budget=budget).primes:
+    for p in build_prime_table(limit).primes:
         p = int(p)
         mu[p::p] *= -1
         if p * p <= limit:

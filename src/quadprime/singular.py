@@ -22,9 +22,10 @@ counted over reduced forms (class_number).  l_value sums the series
 directly and is kept as the independent oracle for it.
 
 SL(k) is sandwiched between prod (p^2-2p)/(p^2-2p+1) and prod p^2/(p^2-1)
-over odd primes, the twin-prime constant C2 and pi^2/8, which sandwich_check
-verifies numerically.  chi_k itself is tabulated by Jacobi reciprocity from
-the factorization of k (_chi_table), so no prime sieve is needed for it.
+over odd primes, the twin-prime constant C2 and pi^2/8, which
+sandwich_violations verifies numerically.  chi_k itself is tabulated by
+Jacobi reciprocity from the factorization of k (_chi_table), so no prime
+sieve is needed for it.
 
 Also here: sigma_q, the exact complete exponential sum
 sum_r sum_{a coprime q} e(-(a/q)(k + r^2)), evaluated in integers.
@@ -40,7 +41,7 @@ import numpy as np
 
 from .arith import divisors, factorize, mobius_phi
 from .errors import VerificationError
-from .sieve import _check_budget, build_mobius_phi_tables, build_prime_table
+from .sieve import _check_budget, build_mobius_phi_tables, build_prime_table, build_squarefree_table
 
 L_SUM_CEILING = 100_000_000
 _SUM_CHUNK = 1 << 20
@@ -48,21 +49,21 @@ _SUM_CHUNK = 1 << 20
 _prime_cache: dict[str, object] = {"table": None}
 
 
-def _primes_upto(limit: int, *, budget: int | None = None) -> np.ndarray:
+def _primes_upto(limit: int) -> np.ndarray:
     """Shared ascending-prime array; grows monotonically, slices served by bisection.
 
-    A growing sieve is checked against `budget`; a slice of the cached table is not.
+    A growing sieve is checked against the memory budget; a cached slice is not.
     """
     table = _prime_cache["table"]
     if table is None or table.limit < limit:
-        table = build_prime_table(limit, budget=budget)
+        table = build_prime_table(limit)
         _prime_cache["table"] = table
     primes = table.primes
     return primes[: np.searchsorted(primes, limit, side="right")]
 
 
-def _odd_primes_upto(limit: int, *, budget: int | None = None) -> np.ndarray:
-    return _primes_upto(limit, budget=budget)[1:]  # drop 2
+def _odd_primes_upto(limit: int) -> np.ndarray:
+    return _primes_upto(limit)[1:]  # drop 2
 
 
 @dataclass
@@ -127,7 +128,7 @@ def _chi_table(k: int) -> np.ndarray:
     exactly when e is odd and n = +-3 mod 8.  The sign row (length 8) and
     each (n/p)^a row (length p, which divides 4k) are tiled over the period.
     """
-    _check_budget(8 * k, None, f"character table mod {4 * k}")
+    _check_budget(8 * k, f"character table mod {4 * k}")
     e = (k & -k).bit_length() - 1
     m = k >> e
     sign = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=np.int8)
@@ -158,7 +159,7 @@ def _sl_factor(p, chi):
     return (base - p * chi) / (base - (p - 1.0) * chi)
 
 
-def _bulk_product(y: int, cutoff: int, factor, budget: int | None = None) -> np.ndarray:
+def _bulk_product(y: int, cutoff: int, factor) -> np.ndarray:
     """prod of factor(p, chi_k(p)) over odd p <= cutoff for every k = 0..y (index 0 set to 0).
 
     chi_k(p) = (-k/p) depends only on k mod p, so each prime's factor row is
@@ -167,9 +168,9 @@ def _bulk_product(y: int, cutoff: int, factor, budget: int | None = None) -> np.
     y + 1 - m L entries.  No length-y temporary is made, and every k gets the
     same factors in the same ascending-prime order.
     """
-    _check_budget(8 * (y + 1), budget, f"bulk product over k <= {y}")
+    _check_budget(8 * (y + 1), f"bulk product over k <= {y}")
     acc = np.ones(y + 1, dtype=np.float64)
-    for p in _odd_primes_upto(cutoff, budget=budget):
+    for p in _odd_primes_upto(cutoff):
         p = int(p)
         r = np.arange(min(p, y + 1), dtype=np.int64)
         row = factor(p, _legendre_table(p)[(-r) % p].astype(np.float64))
@@ -198,16 +199,13 @@ def singular_series_euler(k: int, cutoff: int) -> float:
     return _prime_product(k, cutoff, _euler_factor)
 
 
-def singular_series_euler_bulk(y: int, cutoff: int, *, budget: int | None = None) -> np.ndarray:
-    """Truncated Euler product for every k = 1..y at once (index 0 unused, set to 0).
-
-    `budget` bounds the result array and a prime sieve grown to `cutoff`.
-    """
+def singular_series_euler_bulk(y: int, cutoff: int) -> np.ndarray:
+    """Truncated Euler product for every k = 1..y at once (index 0 unused, set to 0)."""
     if y < 1:
         raise ValueError(f"singular_series_euler_bulk: y must be >= 1, got {y}")
     if cutoff < 3:
         raise ValueError(f"singular_series_euler_bulk: cutoff must be >= 3, got {cutoff}")
-    return _bulk_product(y, cutoff, _euler_factor, budget)
+    return _bulk_product(y, cutoff, _euler_factor)
 
 
 def class_number(k: int) -> int:
@@ -225,7 +223,7 @@ def class_number(k: int) -> int:
         raise ValueError(f"class_number: k must be >= 1, got {k}")
     a_max = math.isqrt(4 * k // 3)
     # an int64 remainder and a bool mask per (a, t) cell; the measured peak is 9-10 bytes per cell
-    _check_budget(12 * a_max * (a_max // 2 + 1), None, f"class-number grid for k = {k}")
+    _check_budget(12 * a_max * (a_max // 2 + 1), f"class-number grid for k = {k}")
     a = np.arange(1, a_max + 1, dtype=np.int64)[:, None]
     t = np.arange(a_max // 2 + 1, dtype=np.int64)
     row, t = np.nonzero(((k + t * t) % a == 0) & (2 * t <= a))
@@ -400,21 +398,16 @@ def sandwich_bounds() -> tuple[float, float]:
     return 0.66016181584686957, math.pi**2 / 8
 
 
-@dataclass
-class SandwichReport:
-    k: int
-    product: float
-    lower: float
-    upper: float
-    passed: bool
+def sandwich_violations(k_max: int, tol: float) -> list[tuple[int, float]]:
+    """(k, SL(k)) for each squarefree k <= k_max with SL(k) outside [lower - tol, upper + tol].
 
-
-def sandwich_check(k: int, tol: float = 1e-4) -> SandwichReport:
-    """Check lower - tol <= SL(k) <= upper + tol for squarefree k."""
+    SL(k) is sl_product to tol/4, computed for all k at once; each value
+    equals the scalar sl_product(k, tol/4) exactly (same factors, same order).
+    """
     lower, upper = sandwich_bounds()
-    product = sl_product(k, tol / 4.0)
-    passed = (lower - tol) <= product <= (upper + tol)
-    return SandwichReport(k, product, lower, upper, passed)
+    product = sl_product_bulk(k_max, tol / 4.0)
+    outside = build_squarefree_table(k_max).flags & ~((lower - tol <= product) & (product <= upper + tol))
+    return [(int(k), float(product[k])) for k in np.nonzero(outside)[0]]
 
 
 def singular_series(k: int, cfg: SingularCfg) -> float:

@@ -111,6 +111,22 @@ def test_singular_checks_the_class_number_grid_budget(monkeypatch, capsys):
     assert "class-number grid for k = 1000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, allocation",
+    [
+        (["sweep", "--x", "10", "--y", "100", "--method", "lmethod", "--tol", "2e-7"], "prime sieve to 2687510"),
+        (["tables", "--limit", str(10**6)], "prime sieve to 1000000"),
+        (["psi", "--x", "1000", "--k", "1"], "Lambda table over [1, 1000001]"),
+    ],
+)
+def test_every_route_reads_the_one_budget(argv, allocation, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a sweep that did run would write here
+    monkeypatch.setitem(singular._prime_cache, "table", None)  # a held sieve is not checked again
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", "100000")
+    assert run(argv) == 1
+    assert allocation in capsys.readouterr().err
+
+
 def test_singular_lmethod_at_tight_tol(capsys):
     assert run(["singular", "--k", "1", "--method", "lmethod", "--tol", "1e-7", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -184,6 +200,10 @@ def test_every_flag_is_read():
         ["sigma", "--q", "5", "--k", "1", "--budget-bytes", "9"],
         ["tables", "--limit", "100", "--cache"],
         ["tables", "--limit", "100", "--out", "x"],
+        ["psi", "--x", "15", "--k", "3", "--budget-bytes", "1000000000"],
+        ["psi", "--x", "15", "--k", "3", "--y", "10"],
+        ["sweep", "--x", "10", "--y", "50", "--budget-bytes", "1000000000"],
+        ["tables", "--limit", "100", "--budget-bytes", "1000000000"],
     ],
 )
 def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):

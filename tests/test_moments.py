@@ -186,18 +186,20 @@ def test_sweep_validation(cfg):
         run_sweep(10, 0, cfg)
 
 
-def test_sweep_budget_counts_its_own_arrays(cfg):
+def test_sweep_budget_counts_its_own_arrays(cfg, monkeypatch):
     x, y = 100, 10_000
-    budget = 200_000  # Lambda over [1, 20000] is about 160 kB; psi, S and E are 240 kB
-    build_lambda_table(1, x * x + y, budget=budget)
+    # Lambda over [1, 20000] is about 160 kB; psi, S and E are 240 kB
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", "200000")
+    build_lambda_table(1, x * x + y)
     with pytest.raises(MemoryError, match="psi, main-term and error arrays"):
-        run_sweep(x, y, cfg, budget=budget)
+        run_sweep(x, y, cfg)
 
 
 def test_sweep_budget_reaches_the_euler_prime_sieve(monkeypatch):
     monkeypatch.setitem(singular._prime_cache, "table", None)
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(10**5))
     with pytest.raises(MemoryError, match="prime sieve"):
-        run_sweep(10, 100, SingularCfg(euler_cutoff=10**6), budget=10**5)
+        run_sweep(10, 100, SingularCfg(euler_cutoff=10**6))
     assert singular._prime_cache["table"] is None
 
 

@@ -106,11 +106,12 @@ def test_mobius_phi_tables_match_scalar():
 # memory budget
 
 
-def test_budget_blocks_oversized_builds():
+def test_budget_blocks_oversized_builds(monkeypatch):
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(10**6))
     with pytest.raises(MemoryError, match="budget"):
-        build_prime_table(10**9, budget=10**6)
+        build_prime_table(10**9)
     with pytest.raises(MemoryError, match="budget"):
-        build_lambda_table(1, 10**9, budget=10**6)
+        build_lambda_table(1, 10**9)
 
 
 def test_budget_resolution_order(monkeypatch):
@@ -118,4 +119,3 @@ def test_budget_resolution_order(monkeypatch):
     assert memory_budget() == 2 << 30
     monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", "12345678")
     assert memory_budget() == 12345678
-    assert memory_budget(999) == 999  # explicit argument wins

@@ -29,7 +29,7 @@ from quadprime.singular import (
     dirichlet_partial,
     l_value,
     sandwich_bounds,
-    sandwich_check,
+    sandwich_violations,
     sigma_q,
     singular_series,
     singular_series_euler,
@@ -348,10 +348,11 @@ def test_euler_bulk_allocates_no_length_y_temporary():
 
 def test_bulk_products_check_the_budget(monkeypatch):
     monkeypatch.setitem(singular._prime_cache, "table", None)
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(10**5))
     with pytest.raises(MemoryError, match="prime sieve"):
-        singular_series_euler_bulk(10, 10**6, budget=10**5)
+        singular_series_euler_bulk(10, 10**6)
     with pytest.raises(MemoryError, match="bulk product"):
-        singular_series_euler_bulk(10**5, 3, budget=10**5)
+        singular_series_euler_bulk(10**5, 3)
     assert singular._prime_cache["table"] is None
 
 
@@ -572,16 +573,11 @@ def test_sandwich_endpoints_match_known_constants():
 
 
 def test_sandwich_holds_on_small_squarefree_range():
-    lo, hi = sandwich_bounds()
-    for k in range(1, 301):
-        if not squarefree(k):
-            continue
-        report = sandwich_check(k, tol=1e-4)
-        assert report.passed, (k, report)
-        assert lo - 1e-4 <= report.product <= hi + 1e-4
+    assert sandwich_violations(300, 1e-4) == []
 
 
-def test_sandwich_report_fields():
-    report = sandwich_check(1, tol=1e-4)
-    assert report.k == 1
-    assert report.product == pytest.approx(sl_product(1, 2.5e-5), abs=1e-6)
+def test_sandwich_violations_are_the_scalar_products(monkeypatch):
+    # an empty band flags every squarefree k, each with its scalar sl_product to tol/4
+    monkeypatch.setattr(singular, "sandwich_bounds", lambda: (1.0, 1.0))
+    want = [(k, sl_product(k, 2.5e-5)) for k in range(1, 51) if squarefree(k)]
+    assert sandwich_violations(50, 1e-4) == want
