@@ -33,7 +33,6 @@ from .moments import (
 from .sieve import (
     LambdaTable,
     PrimeTable,
-    SquarefreeTable,
     build_lambda_table,
     build_mobius_phi_tables,
     build_prime_table,

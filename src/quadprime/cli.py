@@ -75,7 +75,7 @@ def cmd_psi(args: argparse.Namespace) -> int:
     value = psi_value(args.x, args.k, lam)
     payload = {"x": args.x, "k": args.k, "psi": value}
     if args.x <= 20:
-        oracle = circle_psi_oracle(args.x, args.k, args.k, lam)
+        oracle = circle_psi_oracle(args.x, args.k, lam)
         payload["oracle"] = oracle
         if abs(oracle - value) > 1e-6:
             print(f"psi mismatch: sieve {value} vs circle oracle {oracle}", file=sys.stderr)
@@ -150,16 +150,16 @@ def cmd_phi_moment(args: argparse.Namespace) -> int:
 
 def cmd_tables(args: argparse.Namespace) -> int:
     primes = build_prime_table(args.limit)
-    sf = build_squarefree_table(args.limit)
+    flags = build_squarefree_table(args.limit)
     print(f"primes <= {args.limit}: {primes.count()}")
-    print(f"squarefree <= {args.limit}: {sf.count()}")
+    print(f"squarefree <= {args.limit}: {np.count_nonzero(flags)}")
     return 0
 
 
 # --- invariant suites (check ...) -------------------------------------------
 
 
-def check_weyl(seed: int, report: bool = True) -> tuple[float, bool]:
+def check_weyl(seed: int) -> tuple[float, bool]:
     """Max Weyl ratio over the seeded random grid; pass iff within 5% of the record."""
     rng = random.Random(seed)
     worst = 0.0
@@ -175,8 +175,7 @@ def check_weyl(seed: int, report: bool = True) -> tuple[float, bool]:
             beta = rng.uniform(-1.0 / (q * q), 1.0 / (q * q))
             worst = max(worst, weyl_ratio(ArcPoint(a, q, beta), x))
     passed = worst <= 1.05 * WEYL_CALIBRATION_C
-    if report:
-        print(f"weyl: max ratio {worst:.6f}, calibration {WEYL_CALIBRATION_C:.6f} -> {'ok' if passed else 'FAIL'}")
+    print(f"weyl: max ratio {worst:.6f}, calibration {WEYL_CALIBRATION_C:.6f} -> {'ok' if passed else 'FAIL'}")
     return worst, passed
 
 

@@ -364,18 +364,19 @@ def decompose_s2(arc: ArcPoint, x: int) -> tuple[complex, complex]:
 # --- circle-method oracle ---------------------------------------------------
 
 
-def circle_psi_oracle(x: int, k: int, y: int, lam: LambdaTable) -> float:
+def circle_psi_oracle(x: int, k: int, lam: LambdaTable) -> float:
     """psi(x; k) recovered by integrating s1 * s2 * e(-alpha k) over [0, 1).
 
-    The integrand is a trigonometric polynomial with frequencies spanning
-    fewer than N = (smallest power of two > z + x^2 + y) values, so uniform
+    s1 runs over m <= z = x^2 + k, the largest n^2 + k counted.  The
+    integrand is a trigonometric polynomial with frequencies spanning fewer
+    than N = (smallest power of two > z + x^2 + k) values, so uniform
     sampling at rate N integrates it exactly; the result must be real up to
     float noise (checked at 1e-6) and equals sum_{n <= x} Lambda(n^2 + k).
     """
-    if x < 1 or k < 1 or y < k:
-        raise ValueError(f"circle_psi_oracle: need x >= 1, 1 <= k <= y, got x={x}, k={k}, y={y}")
-    z = x * x + y
-    n_samples = 1 << (z + x * x + y).bit_length()
+    if x < 1 or k < 1:
+        raise ValueError(f"circle_psi_oracle: need x >= 1 and k >= 1, got x={x}, k={k}")
+    z = x * x + k
+    n_samples = 1 << (z + x * x + k).bit_length()
     if n_samples * (z + x) > ORACLE_WORK_CEILING:
         raise MemoryError(
             f"circle_psi_oracle: {n_samples} samples x {z + x} terms exceeds the work ceiling"

@@ -125,7 +125,7 @@ def run_sweep(x: int, y: int, cfg: SingularCfg) -> SweepResult:
 
     error = psi - sing * float(x)
     error[0] = 0.0
-    sf = build_squarefree_table(y).flags
+    sf = build_squarefree_table(y)
 
     sf_errors = error[1:][sf[1:]]
     second_moment = math.fsum(v * v for v in sf_errors.tolist())
@@ -161,7 +161,7 @@ def phi_moment(y: int, q1: int, tol: float) -> float:
     sf = build_squarefree_table(y)
     terms = []
     for k in range(1, y + 1):
-        if not sf.flags[k]:
+        if not sf[k]:
             continue
         t = tail_phi(k, q1, tol, mu=mu, phi=phi)
         terms.append(t * t)

@@ -152,24 +152,8 @@ def build_lambda_table(lo: int, hi: int) -> LambdaTable:
     return LambdaTable(lo, values)
 
 
-@dataclass
-class SquarefreeTable:
-    """Boolean squarefree flags for 0..limit (index 0 is False)."""
-
-    limit: int
-    flags: np.ndarray
-
-    def is_squarefree(self, k: int) -> bool:
-        if not 1 <= k <= self.limit:
-            raise IndexError(f"squarefree table covers [1, {self.limit}], asked for {k}")
-        return bool(self.flags[k])
-
-    def count(self) -> int:
-        return int(np.count_nonzero(self.flags))
-
-
-def build_squarefree_table(limit: int) -> SquarefreeTable:
-    """Flag squarefree integers up to `limit` by striking p^2 multiples."""
+def build_squarefree_table(limit: int) -> np.ndarray:
+    """Boolean squarefree flags for 0..limit (index 0 is False), by striking p^2 multiples."""
     if limit < 1:
         raise ValueError(f"build_squarefree_table: limit must be >= 1, got {limit}")
     _check_budget(limit + 1, f"squarefree table to {limit}")
@@ -178,7 +162,7 @@ def build_squarefree_table(limit: int) -> SquarefreeTable:
     for p in build_prime_table(math.isqrt(limit)).primes:
         sq = int(p) * int(p)
         flags[sq::sq] = False
-    return SquarefreeTable(limit, flags)
+    return flags
 
 
 def build_mobius_phi_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:

@@ -23,9 +23,9 @@ directly and is kept as the independent oracle for it.
 
 SL(k) is sandwiched between prod (p^2-2p)/(p^2-2p+1) and prod p^2/(p^2-1)
 over odd primes, the twin-prime constant C2 and pi^2/8, which
-sandwich_violations verifies numerically.  chi_k itself is tabulated by
-Jacobi reciprocity from the factorization of k (_chi_table), so no prime
-sieve is needed for it.
+sandwich_violations verifies numerically.  chi_k itself is evaluated by
+Jacobi reciprocity from the factorization of k, at just the n a caller reads,
+so no prime sieve and no table of length 4k is needed for it.
 
 Also here: sigma_q, the exact complete exponential sum
 sum_r sum_{a coprime q} e(-(a/q)(k + r^2)), evaluated in integers.
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -105,17 +104,33 @@ def sigma_q(q: int, k: int) -> int:
 
 
 def _legendre_table(p: int) -> np.ndarray:
-    """(m/p) for m = 0..p-1 as int8, by enumerating the nonzero squares."""
+    """(m/p) for m = 0..p-1 as int8, by enumerating the nonzero squares r^2, r <= p/2.
+
+    The build peaks at the table plus the int64 row of squares: 5 bytes per
+    residue and the array headers, counted as 6.
+    """
+    _check_budget(6 * p, f"Legendre table mod {p}")
     t = np.full(p, -1, dtype=np.int8)
     t[0] = 0
-    r = np.arange(1, p, dtype=np.int64)
-    t[(r * r) % p] = 1
+    r = np.arange(1, p // 2 + 1, dtype=np.int64)
+    r *= r
+    r %= p
+    t[r] = 1
     return t
 
 
-@lru_cache(maxsize=128)
-def _chi_table(k: int) -> np.ndarray:
-    """chi_k(n) = jacobi(-k, n) for odd n, 0 for even n, tabulated on one period 0..4k-1.
+# the sign s(n) of chi_k at n mod 8, row [m % 4 // 2][e % 2] for k = 2^e m, m odd (see chi_k)
+_CHI_SIGN = np.array(
+    [
+        [[0, 1, 0, -1, 0, 1, 0, -1], [0, 1, 0, 1, 0, -1, 0, -1]],
+        [[0, 1, 0, 1, 0, 1, 0, 1], [0, 1, 0, -1, 0, -1, 0, 1]],
+    ],
+    dtype=np.int8,
+)
+
+
+def chi_k(k: int, n):
+    """chi_k(n) = jacobi(-k, n) for odd n, 0 for even n, at an int n or an int64 array n.
 
     Write k = 2^e m with m odd.  Jacobi reciprocity and its two supplements
     (Cohen, A Course in Computational Algebraic Number Theory, 1.4.2) give,
@@ -125,27 +140,17 @@ def _chi_table(k: int) -> np.ndarray:
 
     where the sign s(n) depends only on n mod 8: (-1/n) times the reciprocity
     sign is -1 exactly when n = 3 mod 4 and m = 1 mod 4, and (2/n)^e is -1
-    exactly when e is odd and n = +-3 mod 8.  The sign row (length 8) and
-    each (n/p)^a row (length p, which divides 4k) are tiled over the period.
+    exactly when e is odd and n = +-3 mod 8.  So chi_k is read from the sign
+    row at n mod 8 and one Legendre row per prime of m at n mod p, and costs
+    the same for every k of the same shape, however large.
     """
-    _check_budget(8 * k, f"character table mod {4 * k}")
     e = (k & -k).bit_length() - 1
     m = k >> e
-    sign = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=np.int8)
-    if m % 4 == 1:
-        sign[[3, 7]] *= -1
-    if e % 2:
-        sign[[3, 5]] *= -1
-    # odd e: 8 divides 4k; even e: the row has period 4, so the cut at 4k is exact
-    chi = np.tile(sign, -(-k // 2))[: 4 * k]
+    chi = _CHI_SIGN[m % 4 // 2, e % 2][n & 7]  # n mod 8, without an integer division
     for p, a in factorize(m):
-        chi *= np.tile(_legendre_table(p) ** a, 4 * k // p)
-    return chi
-
-
-def chi_k(k: int, n: int) -> int:
-    """jacobi(-k, n) for odd n via the period-4k table (0 on even n)."""
-    return int(_chi_table(k)[n % (4 * k)])
+        leg = _legendre_table(p)[n % p]
+        chi = chi * (leg if a % 2 else leg * leg)
+    return chi if isinstance(n, np.ndarray) else int(chi)
 
 
 def _euler_factor(p, chi):
@@ -186,7 +191,7 @@ def _bulk_product(y: int, cutoff: int, factor) -> np.ndarray:
 def _prime_product(k: int, cutoff: int, factor) -> float:
     """prod of factor(p, chi_k(p)) over odd p <= cutoff for the single k, in ascending p."""
     p = _odd_primes_upto(cutoff)
-    chi = _chi_table(k)[p % (4 * k)].astype(np.float64)
+    chi = chi_k(k, p).astype(np.float64)
     return float(np.prod(factor(p.astype(np.float64), chi)))
 
 
@@ -255,8 +260,9 @@ def l_value(k: int, tol: float) -> float:
     if not tol > 0:
         raise ValueError(f"l_value: tol must be positive, got {tol}")
     m = 4 * k
-    chi = _chi_table(k)
-    s_walk = np.cumsum(chi[np.arange(1, m + 1) % m].astype(np.int64))  # S(1)..S(m)
+    # the walk over one period peaks at 24 bytes per n (measured), counted with its headers as 25
+    _check_budget(25 * m, f"character walk mod {m}")
+    s_walk = np.cumsum(chi_k(k, np.arange(1, m + 1)), dtype=np.int64)  # S(1)..S(m)
     if s_walk[-1] != 0:
         raise VerificationError(f"l_value: character mod {m} does not sum to 0 over a period")
     mu = float(np.sum(s_walk)) / m
@@ -268,11 +274,10 @@ def l_value(k: int, tol: float) -> float:
             f"l_value: direct summation needs N = {n_terms} terms for tol = {tol} "
             f"(walk bound {b_window:.1f}, modulus {m}), over the ceiling {L_SUM_CEILING}"
         )
-    chi_f = chi.astype(np.float64)
     parts = []
     for lo in range(1, n_terms + 1, _SUM_CHUNK):
         n = np.arange(lo, min(lo + _SUM_CHUNK, n_terms + 1), dtype=np.int64)
-        parts.append(float(np.sum(chi_f[n % m] / n)))
+        parts.append(float(np.sum(chi_k(k, n) / n)))
     s_at_n = float(s_walk[(n_terms - 1) % m])
     total = math.fsum(parts) + (mu - s_at_n) / (n_terms + 1)
     if total == 0.0:
@@ -367,7 +372,7 @@ def dirichlet_partial(
     if mu is None or phi is None:
         mu, phi = build_mobius_phi_tables(q_max)
     q = np.arange(1, q_max + 1, 2, dtype=np.int64)
-    chi = _chi_table(k)[q % (4 * k)].astype(np.float64)
+    chi = chi_k(k, q).astype(np.float64)
     terms = mu[q].astype(np.float64) / phi[q].astype(np.float64) * chi
     return float(np.sum(terms))
 
@@ -406,7 +411,7 @@ def sandwich_violations(k_max: int, tol: float) -> list[tuple[int, float]]:
     """
     lower, upper = sandwich_bounds()
     product = sl_product_bulk(k_max, tol / 4.0)
-    outside = build_squarefree_table(k_max).flags & ~((lower - tol <= product) & (product <= upper + tol))
+    outside = build_squarefree_table(k_max) & ~((lower - tol <= product) & (product <= upper + tol))
     return [(int(k), float(product[k])) for k in np.nonzero(outside)[0]]
 
 

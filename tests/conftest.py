@@ -32,7 +32,7 @@ def phi_moment_via_l_value(s_via_l_value):
     def moment(y, q1, tol):
         sf = build_squarefree_table(y)
         return math.fsum(
-            (s_via_l_value(k, tol) - dirichlet_partial(k, q1)) ** 2 for k in range(1, y + 1) if sf.flags[k]
+            (s_via_l_value(k, tol) - dirichlet_partial(k, q1)) ** 2 for k in range(1, y + 1) if sf[k]
         )
 
     return moment

@@ -39,7 +39,7 @@ def report(label, ok, detail, elapsed=None, budget=None):
 
 
 def squarefree_list(limit):
-    flags = build_squarefree_table(limit).flags
+    flags = build_squarefree_table(limit)
     return [k for k in range(1, limit + 1) if flags[k]]
 
 
@@ -127,7 +127,7 @@ def test_03_circle_integral_identity():
             math.fsum(lam.lookup(n * n + k) for n in range(1, x + 1)) for k in range(1, 11)
         ]
         for k in range(1, 11):
-            got = circle_psi_oracle(x, k, 10, lam)
+            got = circle_psi_oracle(x, k, lam)
             worst = max(worst, abs(got - direct[k - 1]))
     report(
         "circle-integral identity for psi(x; k)",
@@ -187,7 +187,7 @@ def test_07_product_sandwich():
     lo, hi = sandwich_bounds()
     anchored = abs(lo - 0.6601618) < 1e-6 and abs(hi - 1.2337006) < 1e-6
     products = sl_product_bulk(10**4, 2.5e-5)
-    flags = build_squarefree_table(10**4).flags
+    flags = build_squarefree_table(10**4)
     values = products[1:][flags[1:] != 0]
     inside = bool(np.all((values >= lo - 1e-4) & (values <= hi + 1e-4)))
     report(

@@ -101,8 +101,16 @@ def test_sweep_lmethod_csv_matches_library(tmp_path, capsys):
 
 def test_singular_checks_the_character_table_budget(monkeypatch, capsys):
     monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", "100000")
-    assert run(["singular", "--k", "1000000", "--p", "5000"]) == 1
-    assert "character table mod 4000000" in capsys.readouterr().err
+    assert run(["singular", "--k", "999983", "--p", "5000"]) == 1  # 999983 is prime
+    assert "Legendre table mod 999983" in capsys.readouterr().err
+
+
+def test_singular_at_k_beyond_any_period_table(capsys):
+    values = []
+    for k in ("1000000000000", "1000000"):  # 2^12 5^12 and 2^6 5^6: the same character
+        assert run(["singular", "--k", k, "--p", "5000", "--format", "json"]) == 0
+        values.append(json.loads(capsys.readouterr().out)["singular"])
+    assert values[0] == values[1]
 
 
 def test_singular_checks_the_class_number_grid_budget(monkeypatch, capsys):

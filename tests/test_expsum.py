@@ -373,21 +373,21 @@ def test_s1_decomposition_main_term_dominates_at_rational(lam):
 
 
 CIRCLE_FROZEN = {
-    (10, 1, 1): 13.36183686653575,
-    (15, 4, 4): 24.401573704480302,
+    (10, 1): 13.36183686653575,
+    (15, 4): 24.401573704480302,
 }
 
 
 @pytest.mark.parametrize("key,expect", sorted(CIRCLE_FROZEN.items()))
 def test_circle_oracle_frozen(key, expect, lam):
-    x, k, y = key
-    assert circle_psi_oracle(x, k, y, lam) == pytest.approx(expect, abs=1e-9)
+    x, k = key
+    assert circle_psi_oracle(x, k, lam) == pytest.approx(expect, abs=1e-9)
 
 
 def test_circle_oracle_equals_direct_count(lam):
     for x in (5, 12, 20):
         for k in (1, 2, 7, 10):
-            got = circle_psi_oracle(x, k, 10, lam)
+            got = circle_psi_oracle(x, k, lam)
             assert got == pytest.approx(psi_value(x, k, lam), abs=1e-6), (x, k)
 
 
@@ -395,7 +395,7 @@ def test_circle_oracle_work_ceiling(monkeypatch):
     monkeypatch.setattr(expsum, "ORACLE_WORK_CEILING", 1000)
     small = build_lambda_table(1, 3000)
     with pytest.raises(MemoryError, match="work"):
-        circle_psi_oracle(50, 1, 1, small)
+        circle_psi_oracle(50, 1, small)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from quadprime.arith import factorize, jacobi, mobius_phi
 from quadprime.errors import VerificationError
 from quadprime.singular import (
     SingularCfg,
-    _chi_table,
     _legendre_table,
     _sl_cutoff,
     chi_k,
@@ -118,7 +117,7 @@ def sl_gather(y, tol):
 
 
 def chi_table_gather(k):
-    """_chi_table(k) by gathering each factor at n mod 2, 4, 8 and p over the whole period."""
+    """chi_k on one period 0..4k-1 by gathering each factor at n mod 2, 4, 8 and p."""
     e = (k & -k).bit_length() - 1
     m = k >> e
     n = np.arange(4 * k, dtype=np.int64)
@@ -261,19 +260,41 @@ K_PARTS = st.builds(
 @example(k=9 * 49)
 @example(k=2**11 * 3)
 def test_chi_equals_jacobi_on_one_period(k):
+    chi = chi_k(k, np.arange(4 * k))
     for n in range(4 * k):
-        assert chi_k(k, n) == (jacobi(-k, n) if n % 2 else 0), (k, n)
+        assert chi[n] == (jacobi(-k, n) if n % 2 else 0), (k, n)
 
 
-def test_tiled_chi_table_equals_gather_oracle():
+def test_chi_k_equals_gather_oracle():
     for k in list(range(1, 3001)) + [640000, 786432, 510510, 3**12]:
-        assert _chi_table(k).tobytes() == chi_table_gather(k).tobytes(), k
+        assert chi_k(k, np.arange(4 * k)).tobytes() == chi_table_gather(k).tobytes(), k
 
 
-def test_chi_table_checks_the_budget(monkeypatch):
-    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(10**5))
-    with pytest.raises(MemoryError, match="character table mod 4000000"):
-        _chi_table.__wrapped__(10**6)
+@pytest.mark.parametrize("k", [640000, 786432, 510510, 3**12, 10**12])
+def test_chi_k_equals_jacobi_at_odd_n_for_large_k(k):
+    rng = np.random.default_rng(k)
+    n = np.concatenate([np.arange(1, 4001, 2), 2 * rng.integers(0, 2 * k, size=2000) + 1])
+    assert chi_k(k, n).tolist() == [jacobi(-k, int(v)) for v in n]
+
+
+def test_legendre_table_checks_the_budget(monkeypatch):
+    p = 19997
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(6 * p - 1))
+    with pytest.raises(MemoryError, match="Legendre table mod 19997"):
+        _legendre_table(p)
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(6 * p))
+    assert np.array_equal(_legendre_table(p), legendre_row(p))
+
+
+@pytest.mark.parametrize("p", [997, 19997, 999983])
+def test_legendre_table_peak_is_within_its_count(p):
+    tracemalloc.start()
+    try:
+        _legendre_table(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * p
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +375,8 @@ def test_bulk_products_check_the_budget(monkeypatch):
     with pytest.raises(MemoryError, match="bulk product"):
         singular_series_euler_bulk(10**5, 3)
     assert singular._prime_cache["table"] is None
+    with pytest.raises(MemoryError, match="Legendre table mod"):
+        singular_series_euler_bulk(100, 20000)
 
 
 # ---------------------------------------------------------------------------
