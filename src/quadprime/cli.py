@@ -22,6 +22,7 @@ from .arith import mobius_phi
 from .errors import VerificationError
 from .expsum import (
     ArcPoint,
+    _tau_bar,
     build_character_table,
     circle_psi_oracle,
     decompose_s1,
@@ -240,14 +241,11 @@ def check_gauss(q_max: int = 50) -> bool:
         if mobius_phi(q)[0] == 0:
             continue
         table = build_character_table(q)
-        real = [ch for ch in table.chars if ch.order <= 2]
+        real = [(_tau_bar(ch), ch) for ch in table.chars if ch.order <= 2]
         for a in range(1, q + 1):
             if math.gcd(a, q) != 1:
                 continue
-            via_chars = sum(
-                complex(np.dot(np.conj(ch.values), np.exp(2j * np.pi * np.arange(q) / q))) * ch((-a) % q)
-                for ch in real
-            )
+            via_chars = sum(tau_bar * ch((-a) % q) for tau_bar, ch in real)
             worst_id = max(worst_id, abs(via_chars - g_quadratic(a, q)))
     if worst_id > 1e-9:
         ok = False

@@ -185,19 +185,17 @@ def _unit_cycles(q: int) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
     return cycle_logs, unit_mask
 
 
-def build_character_table(q: int) -> CharacterTable:
-    """Character table mod q from the unit-group cycle structure, built as one matrix.
+def _character_values(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only phi(q) x q value matrix of the characters mod q, and their orders.
 
     A character is a choice of exponent on each cycle of _unit_cycles(q);
-    character `index` takes the mixed-radix digits of index as exponents.
-    All rows are built at once: phases are summed one cycle at a time, then
-    exponentiated in one call.  The conductor is the least d | q with chi = 1
-    on the units = 1 mod d, tested per divisor over the rows still open.
-    The value matrix is read-only and each Character.values is a row view of
-    it, so a shared table cannot be changed through a row.  q is capped by
-    CHARACTER_Q_CEILING and the build's peak must fit the memory budget.  Each call
-    builds anew; _cached_character_table keeps the tables that the
-    decompositions revisit.
+    character `index` takes the mixed-radix digits j_c of index as exponents.
+    With lam the lcm of the cycle orders o_c, chi(n) = e(m / lam) on the
+    units, where m = sum_c j_c log_c(n) (lam / o_c) mod lam is exact integer
+    arithmetic; every value is then one gather from the lam-th roots of unity
+    (one more slot, 0, serves the non-units).  q is capped by
+    CHARACTER_Q_CEILING, and the budget is checked at the 40 bytes per entry
+    that build_character_table peaks at.
     """
     if q < 1:
         raise ValueError(f"build_character_table: q must be >= 1, got {q}")
@@ -206,26 +204,42 @@ def build_character_table(q: int) -> CharacterTable:
 
     cycle_logs, unit_mask = _unit_cycles(q)
     phi_q = math.prod(order for order, _ in cycle_logs)
-    # peak bytes per entry: 32 while the values are built (complex phases on the
-    # units, exponentiated in place, beside the zeroed matrix), then 16 plus a
-    # conductor block of <= q/2 columns (d > 1) at 41 bytes a cell; 40 bounds both
+    # peak bytes per entry: 24 here (the int64 exponents beside the gathered
+    # values; tracemalloc measured 24 at q = 499 and 997), then in
+    # build_character_table 16 plus a conductor block of <= q/2 columns (d > 1)
+    # at 41 bytes a cell; 40 bounds both
     _check_budget(phi_q * q * 40, f"character table mod {q} ({phi_q}x{q} entries at 40 bytes)")
 
-    units = np.flatnonzero(unit_mask)
+    lam = math.lcm(*(order for order, _ in cycle_logs))
     rem = np.arange(phi_q, dtype=np.int64)
-    frac = np.zeros((phi_q, len(units)), dtype=np.float64)
+    exps = np.zeros((phi_q, q), dtype=np.int64)
     orders = np.ones(phi_q, dtype=np.int64)
     for order, logs in cycle_logs:
         j = rem % order
         rem //= order
-        frac += (j[:, None] * logs[None, units]) / order
+        exps += np.multiply.outer(j, logs * (lam // order))
         orders = np.lcm(orders, order // np.gcd(order, j))
-    on_units = 2j * np.pi * frac
-    del frac
-    values = np.zeros((phi_q, q), dtype=np.complex128)
-    values[:, units] = np.exp(on_units, out=on_units)
-    del on_units
+    exps %= lam
+    exps[:, ~unit_mask] = lam
+    roots = np.append(np.exp(2j * np.pi * np.arange(lam) / lam), 0.0)
+    values = roots[exps]
+    del exps
     values.flags.writeable = False
+    return values, orders
+
+
+def build_character_table(q: int) -> CharacterTable:
+    """Character table mod q: the matrix of _character_values(q), its conductors and Character rows.
+
+    The conductor is the least d | q with chi = 1 on the units = 1 mod d,
+    tested per divisor over the rows still open.  The value matrix is
+    read-only and each Character.values is a row view of it, so a shared
+    table cannot be changed through a row.  q is capped by CHARACTER_Q_CEILING
+    and the build's peak must fit the memory budget.  Each call builds anew;
+    _cached_character_table keeps the tables that the decompositions revisit.
+    """
+    values, orders = _character_values(q)
+    unit_mask = np.gcd(np.arange(q), q) == 1
 
     # only the principal character is 1 on every unit, so it alone has conductor 1
     conductors = np.where(orders == 1, 1, q)
@@ -443,7 +457,9 @@ def pv_check(q: int) -> PvReport:
     For non-principal chi mod q the partial-sum walk is periodic, so the
     supremum over every window M < n <= M + N (N <= q) is the diameter D of
     the walk's point set over one period.  All walks come from one cumsum
-    over the table, and D is bracketed before the exact hull runs:
+    over the value matrix of _character_values(q), which also gives the
+    orders that mark the principal row; no conductors and no Character rows
+    are built.  D is bracketed before the exact hull runs:
 
     - Bounding box: max(x range, y range) <= D <= the box diagonal.  Walks
       whose diagonal is below the largest lower end drop out (about 92% of
@@ -460,9 +476,10 @@ def pv_check(q: int) -> PvReport:
     """
     if q < 2:
         raise ValueError(f"pv_check: q must be >= 2, got {q}")
-    table = build_character_table(q)
-    walks = np.cumsum(table.values, axis=1)  # chi(0) = 0: row = [0, S(1), ..., S(q-1)]
-    live = np.flatnonzero([not ch.is_principal for ch in table.chars])
+    values, orders = _character_values(q)
+    walks = np.cumsum(values, axis=1)  # chi(0) = 0: row = [0, S(1), ..., S(q-1)]
+    del values
+    live = np.flatnonzero(orders > 1)
     xr, yr = np.ptp(walks.real[live], axis=1), np.ptp(walks.imag[live], axis=1)
     live = live[np.hypot(xr, yr) * (1.0 + _PV_MARGIN) >= np.maximum(xr, yr).max(initial=0.0)]
     x, y, width = walks.real[live], walks.imag[live], np.zeros(len(live))

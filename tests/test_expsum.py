@@ -75,10 +75,14 @@ def per_character_table(q):
     """The characters mod q one at a time, in index order, each row built on its own.
 
     Reference oracle for the batched build: the same cycle logs, but one
-    phase row, one exp and one conductor scan over every divisor per character.
+    exponent row reduced mod lam (the lcm of the cycle orders), one gather
+    from the lam-th roots of unity and one conductor scan over every divisor
+    per character.
     """
     cycle_logs, unit_mask = _unit_cycles(q)
     cycle_orders = [order for order, _ in cycle_logs]
+    lam = math.lcm(*cycle_orders)
+    roots = np.exp(2j * np.pi * np.arange(lam) / lam)
     n = np.arange(q, dtype=np.int64)
     div_masks = [(d, unit_mask & (n % d == 1 % d)) for d in divisors(q)]
     for index in range(math.prod(cycle_orders)):
@@ -86,10 +90,10 @@ def per_character_table(q):
         for o in cycle_orders:
             exps.append(rem % o)
             rem //= o
-        frac = np.zeros(q, dtype=np.float64)
+        m = np.zeros(q, dtype=np.int64)
         for (order, logs), j in zip(cycle_logs, exps):
-            frac += (j * logs) / order
-        values = np.where(unit_mask, np.exp(2j * np.pi * frac), 0.0 + 0.0j)
+            m += j * logs * (lam // order)
+        values = np.where(unit_mask, roots[m % lam], 0.0 + 0.0j)
         order = 1
         for o, j in zip(cycle_orders, exps):
             order = math.lcm(order, o // math.gcd(o, j))
@@ -265,6 +269,52 @@ def test_batched_table_equals_per_character_oracle_large_q(q):
     assert_table_matches_oracle(q)
 
 
+def float_phase_values(q):
+    """The characters mod q on the units as exp(2 pi i sum_c j_c log_c / o_c): one float phase sum per entry."""
+    cycle_logs, unit_mask = _unit_cycles(q)
+    rem = np.arange(math.prod(order for order, _ in cycle_logs))
+    frac = np.zeros((len(rem), q))
+    for order, logs in cycle_logs:
+        frac += np.multiply.outer(rem % order, logs) / order
+        rem //= order
+    return np.exp(2j * np.pi * frac[:, unit_mask])
+
+
+def unit_columns(q):
+    return np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+
+
+def test_character_values_match_the_float_phase_route():
+    for q in range(1, 301):
+        values = build_character_table(q).values[:, unit_columns(q)]
+        assert np.abs(values - float_phase_values(q)).max() <= 1e-12, q
+
+
+def test_character_values_are_multiplicative_to_rounding():
+    worst = 0.0
+    for q in range(1, 301):
+        values, u = build_character_table(q).values, unit_columns(q)
+        for b in u[:: max(1, len(u) // 8)]:
+            worst = max(worst, np.abs(values[:, u * b % q] - values[:, u] * values[:, [b]]).max())
+    assert worst <= 1e-14
+
+
+def test_character_values_to_their_order_are_one():
+    worst = 0.0
+    for q in range(1, 301):
+        tab = build_character_table(q)
+        base = tab.values[:, unit_columns(q)].copy()
+        power = np.ones_like(base)
+        e = np.array([ch.order for ch in tab.chars])
+        while e.any():  # binary powering, one bit of every row's order per step
+            odd = (e & 1).astype(bool)
+            power[odd] *= base[odd]
+            base *= base
+            e >>= 1
+        worst = max(worst, np.abs(power - 1).max())
+    assert worst <= 1e-12
+
+
 def test_character_values_are_read_only():
     tab = build_character_table(12)
     with pytest.raises(ValueError):
@@ -282,7 +332,7 @@ def test_character_table_budget_counts_the_build_peak(monkeypatch):
     try:
         with pytest.raises(MemoryError, match="budget"):
             build_character_table(q)
-        assert tracemalloc.get_traced_memory()[1] < 8 * entries  # refused before the phase matrix
+        assert tracemalloc.get_traced_memory()[1] < 8 * entries  # refused before the value matrix
         monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(40 * entries))
         tracemalloc.reset_peak()
         tab = build_character_table(q)
@@ -290,6 +340,21 @@ def test_character_table_budget_counts_the_build_peak(monkeypatch):
     finally:
         tracemalloc.stop()
     assert tab.phi == 498
+
+
+def test_pv_check_budget_counts_the_table_peak(monkeypatch):
+    q = 499  # prime: phi = 498
+    entries = 498 * q
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(24 * entries))  # the measured peak, not the 40 counted
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="character table mod 499"):
+            pv_check(q)
+        assert tracemalloc.get_traced_memory()[1] < 8 * entries  # refused before the value matrix
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(40 * entries))
+    assert pv_check(q).passed
 
 
 # ---------------------------------------------------------------------------
