@@ -22,7 +22,7 @@ from .arith import mobius_phi
 from .errors import VerificationError
 from .expsum import (
     ArcPoint,
-    _tau_bar,
+    _tau_bars,
     build_character_table,
     circle_psi_oracle,
     decompose_s1,
@@ -241,7 +241,7 @@ def check_gauss(q_max: int = 50) -> bool:
         if mobius_phi(q)[0] == 0:
             continue
         table = build_character_table(q)
-        real = [(_tau_bar(ch), ch) for ch in table.chars if ch.order <= 2]
+        real = [(tau_bar, ch) for tau_bar, ch in zip(_tau_bars(table), table.chars) if ch.order <= 2]
         for a in range(1, q + 1):
             if math.gcd(a, q) != 1:
                 continue

@@ -256,9 +256,10 @@ def build_character_table(q: int) -> CharacterTable:
 
 
 @lru_cache(maxsize=32)
-def _cached_character_table(q: int) -> CharacterTable:
-    """build_character_table(q), cached: decompose_s1/s2 revisit each q for every a, beta and length."""
-    return build_character_table(q)
+def _cached_character_table(q: int) -> tuple[CharacterTable, list[complex]]:
+    """build_character_table(q) and its _tau_bars, cached: decompose_s1/s2 revisit each q for every a, beta and length."""
+    table = build_character_table(q)
+    return table, _tau_bars(table)
 
 
 def _roots_of_unity(q: int) -> np.ndarray:
@@ -270,9 +271,10 @@ def gauss_sum(chi: Character) -> complex:
     return complex(np.dot(chi.values, _roots_of_unity(chi.q)))
 
 
-def _tau_bar(chi: Character) -> complex:
-    """tau(conj(chi))."""
-    return complex(np.dot(np.conj(chi.values), _roots_of_unity(chi.q)))
+def _tau_bars(table: CharacterTable) -> list[complex]:
+    """tau(conj(chi)) for each character of the table, in table order, from one row of roots of unity."""
+    roots = _roots_of_unity(table.q)
+    return [complex(np.dot(np.conj(ch.values), roots)) for ch in table.chars]
 
 
 def g_quadratic(a: int, q: int) -> complex:
@@ -310,15 +312,15 @@ def decompose_s1(arc: ArcPoint, z: int, lam: LambdaTable) -> tuple[complex, comp
     mu_q, phi_q = mobius_phi(q)
     t1 = mu_q / phi_q * geom
 
-    table = _cached_character_table(q)
+    table, tau_bars = _cached_character_table(q)
     idx = m % q
     lam_e = lamv * ebm
     e1 = 0j
-    for ch in table.chars:
+    for ch, tau_bar in zip(table.chars, tau_bars):
         inner = complex(np.dot(ch.values[idx], lam_e))
         if ch.is_principal:
             inner -= geom
-        e1 += _tau_bar(ch) * ch(a) * inner
+        e1 += tau_bar * ch(a) * inner
     e1 /= phi_q
 
     mask = np.gcd(m, q) > 1
@@ -364,14 +366,14 @@ def decompose_s2(arc: ArcPoint, x: int) -> tuple[complex, complex]:
         t2 += g_quadratic(a * d_star % q1, q1) / phi_q1 * complex(np.sum(w))
 
         if q1 > 2:  # mod 1 and mod 2 every character is principal
-            table = _cached_character_table(q1)
+            table, tau_bars = _cached_character_table(q1)
             idx = n_star % q1
             neg_ad = (-a * d_star) % q1
-            for ch in table.chars:
+            for ch, tau_bar in zip(table.chars, tau_bars):
                 if ch.order <= 2:
                     continue
                 chi_sq = ch.values * ch.values
-                e2 += _tau_bar(ch) * ch(neg_ad) * complex(np.dot(chi_sq[idx], w)) / phi_q1
+                e2 += tau_bar * ch(neg_ad) * complex(np.dot(chi_sq[idx], w)) / phi_q1
     return t2, e2
 
 

@@ -24,9 +24,9 @@ import numpy as np
 from .sieve import LambdaTable, _check_budget, build_lambda_table, build_squarefree_table, build_mobius_phi_tables
 from .singular import (
     SingularCfg,
+    _tail_phi_bulk,
     singular_series_euler_bulk,
     singular_series_lmethod,
-    tail_phi,
 )
 
 EXCEPTIONAL_B_GRID = (0.5, 1.0, 1.5, 2.0)
@@ -150,22 +150,19 @@ def phi_moment(y: int, q1: int, tol: float) -> float:
     """sum over squarefree k <= y of |Phi(k)|^2, the truncated-tail second moment.
 
     Phi(k) is the q > q1 tail of the Dirichlet form of S(k), computed by
-    subtraction (accelerated full value minus exact partial sum); the square
-    sum is reduced with fsum in ascending k.
+    subtraction (accelerated full value minus exact partial sum) for all k in
+    one bulk pass; each Phi(k) equals tail_phi(k, q1, tol) exactly, and the
+    square sum is reduced with fsum.
     """
     if y < 1:
         raise ValueError(f"phi_moment: y must be >= 1, got {y}")
     if q1 < 1:
         raise ValueError(f"phi_moment: q1 must be >= 1, got {q1}")
+    if not tol > 0:
+        raise ValueError(f"phi_moment: tol must be positive, got {tol}")
     mu, phi = build_mobius_phi_tables(q1)
-    sf = build_squarefree_table(y)
-    terms = []
-    for k in range(1, y + 1):
-        if not sf[k]:
-            continue
-        t = tail_phi(k, q1, tol, mu=mu, phi=phi)
-        terms.append(t * t)
-    return math.fsum(terms)
+    tails = _tail_phi_bulk(np.flatnonzero(build_squarefree_table(y)), q1, tol, mu, phi)
+    return math.fsum((tails * tails).tolist())
 
 
 # --- CSV emission ------------------------------------------------------------

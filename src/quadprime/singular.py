@@ -144,13 +144,36 @@ def chi_k(k: int, n):
     row at n mod 8 and one Legendre row per prime of m at n mod p, and costs
     the same for every k of the same shape, however large.
     """
+    chi = _chi(k, n, {})
+    return chi if isinstance(n, np.ndarray) else int(chi)
+
+
+def _chi(k: int, n, rows: dict):
+    """The body of chi_k, reading (n/p) from rows[p] = _legendre_table(p)[n % p], gathered on first use.
+
+    chi_k passes a fresh dict; a caller that reads chi_k for many k passes
+    one dict, so each prime's row is gathered once.  Its n may then be any
+    prefix of the n the rows were gathered at.
+    """
     e = (k & -k).bit_length() - 1
     m = k >> e
     chi = _CHI_SIGN[m % 4 // 2, e % 2][n & 7]  # n mod 8, without an integer division
     for p, a in factorize(m):
-        leg = _legendre_table(p)[n % p]
+        if p not in rows:
+            rows[p] = _legendre_table(p)[n % p]
+        leg = rows[p]
+        if isinstance(n, np.ndarray):
+            leg = leg[: len(n)]
         chi = chi * (leg if a % 2 else leg * leg)
-    return chi if isinstance(n, np.ndarray) else int(chi)
+    return chi
+
+
+def _chi_rows(ks, n: np.ndarray, rows: dict) -> np.ndarray:
+    """chi_k(k, n) for each k of ks, as the rows of one int8 matrix; rows is shared as in _chi."""
+    block = np.empty((len(ks), len(n)), dtype=np.int8)
+    for i, k in enumerate(ks):
+        block[i] = _chi(int(k), n, rows)
+    return block
 
 
 def _euler_factor(p, chi):
@@ -237,6 +260,40 @@ def class_number(k: int) -> int:
     reduced = (c >= a) & (np.gcd(np.gcd(a, 2 * t), c) == 1)
     single = (t == 0) | (2 * t == a) | (c == a)
     return int(np.where(single, 1, 2)[reduced].sum())
+
+
+def _class_numbers(y: int) -> np.ndarray:
+    """h(-4k) for every k = 1..y at once, as class_number counts it (index 0 unused, set to 0).
+
+    For fixed (a, t) the forms of class_number have k = a c - t^2 with
+    c = a, a + 1, ..., a progression in k with step a from a^2 - t^2, so each
+    (a, t) is one strided add of its weight: 1 when t = 0 or 2t = a, else 2
+    for the pair +-t.  Primitivity, gcd(a, 2t, c) = 1, is the Moebius sum
+    over d | gcd(a, 2t) of mu(d) times that add on the c divisible by d
+    (step a d; d | a, so c = a is the first).  At c = a the pair +-t is one
+    class, so a primitive (a, t) of weight 2 gives 1 back at k = a^2 - t^2.
+    About 0.6 y^{3/2} adds in all (Cohen, A Course in Computational Algebraic
+    Number Theory, 5.3).  The int32 counts halve the bytes each add touches.
+    """
+    if y < 1:
+        raise ValueError(f"_class_numbers: y must be >= 1, got {y}")
+    _check_budget(4 * (y + 1), f"class numbers over k <= {y}")
+    a_max = math.isqrt(4 * y // 3)
+    mu = build_mobius_phi_tables(a_max)[0].tolist()
+    h = np.zeros(y + 1, dtype=np.int32)
+    for a in range(1, a_max + 1):
+        for t in range(a // 2 + 1):
+            k0 = a * a - t * t
+            if k0 > y:
+                continue
+            w = 1 if t == 0 or 2 * t == a else 2
+            g = math.gcd(a, 2 * t)
+            for d in divisors(g):
+                if mu[d]:
+                    h[k0 :: a * d] += mu[d] * w
+            if w == 2 and g == 1:
+                h[k0] -= 1
+    return h
 
 
 def l_value(k: int, tol: float) -> float:
@@ -343,8 +400,9 @@ def singular_series_lmethod(k: int, tol: float) -> float:
     L = pi h(-4k) / (w sqrt(k)) carries only float rounding, so the error
     budget is the product's: sl_product to tol*L/2 keeps the quotient within
     tol/2, half the budget kept as margin.  l_value, the direct sum, is the
-    oracle for L in the tests.  Nothing is cached: every caller (phi_moment,
-    the lmethod sweep, `singular --k`) asks for each k once.
+    oracle for L in the tests.  Nothing is cached: the lmethod sweep and
+    `singular --k` ask for each k once, and phi_moment takes the same values
+    for all its k from _tail_phi_bulk.
     """
     if k < 1:
         raise ValueError(f"singular_series_lmethod: k must be >= 1, got {k}")
@@ -392,6 +450,60 @@ def tail_phi(
     trustworthy at any usable cutoff.
     """
     return singular_series_lmethod(k, tol) - dirichlet_partial(k, q1, mu=mu, phi=phi)
+
+
+_PHI_BLOCK = 16  # k per block in _tail_phi_bulk
+
+
+def _tail_phi_bulk(ks: np.ndarray, q1: int, tol: float, mu: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """tail_phi(k, q1, tol, mu=mu, phi=phi) for every k of the ascending int array ks, bit for bit.
+
+    L(k) comes from one _class_numbers pass and each k's SL cutoff from
+    _sl_cutoff(tol L/2), as in singular_series_lmethod.  chi_k is read once
+    per k, at the odd q <= q1 followed by the odd primes up to the largest
+    cutoff, from one dict of Legendre rows gathered there for the whole run.
+    The k go in blocks of _PHI_BLOCK in order of their cutoff, so a block
+    reads chi only up to its own largest cutoff.  Row i of a block's factor
+    matrix holds sl_product's factors for k_i in the same order, gathered
+    from _sl_factor at chi = -1, 0, 1 for each prime, then exact 1.0s past
+    k_i's cutoff, where chi is set to 0; so np.prod along the row is
+    sl_product's float.  np.sum along a row of dirichlet_partial's terms is
+    its float too.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    y = int(ks[-1])
+    l_exact = np.pi * _class_numbers(y)[ks] / (np.where(ks == 1, 4, 2) * np.sqrt(ks))
+    cutoffs = np.array([_sl_cutoff(tol * l / 2.0) for l in l_exact.tolist()], dtype=np.int64)
+    primes = _odd_primes_upto(int(cutoffs.max()))
+    q = np.arange(1, q1 + 1, 2, dtype=np.int64)
+    weights = mu[q].astype(np.float64) / phi[q].astype(np.float64)
+    n = np.concatenate([q, primes])
+    # an int8 row per odd prime <= y, each with its array header and dict slot counted as 128 bytes
+    row_primes = _odd_primes_upto(y).tolist()
+    _check_budget((len(n) + 128) * len(row_primes), f"Legendre rows for {len(row_primes)} primes at {len(n)} points")
+    # per cell the int8 chi, a bool mask, an int64 index and a float64 factor or term: 18 bytes, counted as 24
+    _check_budget(24 * _PHI_BLOCK * len(n), f"chi and factor blocks of {_PHI_BLOCK} x {len(n)}")
+
+    factors = _sl_factor(primes[:, None].astype(np.float64), np.array([-1.0, 0.0, 1.0])).ravel()
+    at_chi_0 = 3 * np.arange(len(primes)) + 1  # factors[at_chi_0 + chi] is _sl_factor(p, chi)
+    rows = {p: _legendre_table(p)[n % p] for p in row_primes}
+    sl = np.empty(len(ks))
+    partial = np.empty(len(ks))
+    order = np.argsort(cutoffs, kind="stable")
+    for lo in range(0, len(ks), _PHI_BLOCK):
+        idx = order[lo : lo + _PHI_BLOCK]
+        cut = cutoffs[idx]
+        width = int(np.searchsorted(primes, cut[-1], side="right"))
+        chi = _chi_rows(ks[idx], n[: len(q) + width], rows)
+        c = chi[:, len(q) :]
+        c[primes[:width] > cut[:, None]] = 0  # chi = 0 gives a factor of exactly 1.0
+        sl[idx] = np.prod(factors[at_chi_0[:width] + c], axis=1)
+        partial[idx] = np.sum(weights * chi[:, : len(q)], axis=1)
+    s = sl / l_exact
+    bad = np.flatnonzero(~(s > 0.0))
+    if len(bad):
+        raise VerificationError(f"singular_series_lmethod: S({ks[bad[0]]}) came out non-positive ({s[bad[0]]})")
+    return s - partial
 
 
 def sandwich_bounds() -> tuple[float, float]:

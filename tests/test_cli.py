@@ -142,6 +142,24 @@ def test_singular_lmethod_at_tight_tol(capsys):
     assert abs(data["singular"] - 1.3728134628181987) <= 1e-7 + 2e-9
 
 
+def test_phi_moment_bench_stdout_is_pinned(capsys):
+    assert run(["phi-moment", "--y", "3000", "--q1", "500", "--tol", "1e-4"]) == 0
+    assert capsys.readouterr().out == "y = 3000\nq1 = 500\ntol = 0.0001\nphi_moment = 2.1058000276142863\n"
+
+
+@pytest.mark.parametrize(
+    "argv, allocation",
+    [
+        (["phi-moment", "--y", "3000", "--q1", "500", "--tol", "1e-4"], "Legendre rows for 429 primes at 2243 points"),
+        (["phi-moment", "--y", "2", "--q1", "100000", "--tol", "1e-4"], "chi and factor blocks of 16 x"),
+    ],
+)
+def test_phi_moment_counts_its_bulk_arrays(argv, allocation, monkeypatch, capsys):
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(10**6))
+    assert run(argv) == 1
+    assert allocation in capsys.readouterr().err
+
+
 def test_phi_moment_command(capsys, phi_moment_via_l_value):
     assert run(["phi-moment", "--y", "100", "--q1", "20", "--tol", "1e-3", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

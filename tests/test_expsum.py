@@ -398,6 +398,14 @@ def gauss_sum_conj(ch):
     return sum(ch(n).conjugate() * cmath.exp(2j * cmath.pi * n / ch.q) for n in range(ch.q))
 
 
+@pytest.mark.parametrize("q", [1, 5, 12, 15, 16, 21])
+def test_cached_tau_bars_are_the_conjugate_gauss_sums(q):
+    table, tau_bars = _cached_character_table(q)
+    assert len(tau_bars) == table.phi
+    for ch, tau_bar in zip(table.chars, tau_bars):
+        assert tau_bar == pytest.approx(gauss_sum_conj(ch), abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # exact decompositions
 

@@ -22,8 +22,8 @@ from quadprime.moments import (
     write_errors_csv,
     write_moments_csv,
 )
-from quadprime.sieve import build_lambda_table
-from quadprime.singular import SingularCfg, singular_series, singular_series_lmethod
+from quadprime.sieve import build_lambda_table, build_mobius_phi_tables, build_squarefree_table
+from quadprime.singular import SingularCfg, singular_series, singular_series_lmethod, tail_phi
 
 
 def brute_lambda(m):
@@ -241,6 +241,27 @@ def test_phi_moment_frozen(y, q1, expect, phi_moment_via_l_value):
     assert abs(value - phi_moment_via_l_value(y, q1, 1e-7)) <= 1e-3
 
 
+@pytest.mark.parametrize(
+    "y,q1,tol",
+    [
+        (1, 5, 1e-3),
+        (200, 1, 1e-3),
+        (100, 500, 1e-2),  # q1 past every SL cutoff prime
+        (1000, 500, 1e-3),
+        (3000, 2000, 1e-5),
+    ],
+)
+def test_phi_moment_equals_the_scalar_tails_exactly(y, q1, tol):
+    sf = build_squarefree_table(y)
+    ks = [k for k in range(1, y + 1) if sf[k]]
+    if q1 == 500 and tol == 1e-2:
+        l_min = min(math.pi * singular.class_number(k) / ((4 if k == 1 else 2) * math.sqrt(k)) for k in ks)
+        assert singular._sl_cutoff(tol * l_min / 2.0) < q1
+    mu, phi = build_mobius_phi_tables(q1)
+    tails = [tail_phi(k, q1, tol, mu=mu, phi=phi) for k in ks]
+    assert phi_moment(y, q1, tol) == math.fsum(t * t for t in tails)
+
+
 def test_phi_moment_decreasing_in_cutoff():
     vals = [phi_moment(100, q1, 1e-3) for q1 in (5, 20, 50)]
     assert vals[0] > vals[1] > vals[2]
@@ -251,6 +272,8 @@ def test_phi_moment_validation():
         phi_moment(0, 5, 1e-3)
     with pytest.raises(ValueError):
         phi_moment(100, 0, 1e-3)
+    with pytest.raises(ValueError):
+        phi_moment(100, 5, 0.0)
 
 
 # ---------------------------------------------------------------------------

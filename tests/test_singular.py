@@ -21,7 +21,10 @@ from quadprime.arith import factorize, jacobi, mobius_phi
 from quadprime.errors import VerificationError
 from quadprime.singular import (
     SingularCfg,
+    _chi_rows,
+    _class_numbers,
     _legendre_table,
+    _odd_primes_upto,
     _sl_cutoff,
     chi_k,
     class_number,
@@ -277,6 +280,15 @@ def test_chi_k_equals_jacobi_at_odd_n_for_large_k(k):
     assert chi_k(k, n).tolist() == [jacobi(-k, int(v)) for v in n]
 
 
+def test_chi_rows_with_one_shared_dict_equal_chi_k():
+    n = np.concatenate([np.arange(600), _odd_primes_upto(5000)])
+    rows = {}
+    block = _chi_rows(range(1, 2001), n, rows)
+    for k in range(1, 2001):  # even k and k with a squared prime among them
+        assert block[k - 1].tobytes() == chi_k(k, n).tobytes(), k
+    assert sorted(rows) == _odd_primes_upto(2000).tolist()  # one gathered row per prime
+
+
 def test_legendre_table_checks_the_budget(monkeypatch):
     p = 19997
     monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(6 * p - 1))
@@ -444,6 +456,35 @@ def test_class_number_checks_the_budget(monkeypatch):
     monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(10**5))
     with pytest.raises(MemoryError, match="class-number grid for k = 1000000"):
         class_number(10**6)
+
+
+def test_bulk_class_numbers_equal_class_number():
+    h = _class_numbers(10**4)
+    assert h[0] == 0
+    assert h[1:].tolist() == [class_number(k) for k in range(1, 10**4 + 1)]
+
+
+@lru_cache(maxsize=1)
+def class_numbers_to_a_million():
+    return _class_numbers(10**6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 10**6))
+@example(k=10**6)  # 2^6 5^6: imprimitive forms for many d
+@example(k=705_600)  # 840^2
+@example(k=999_999)
+@example(k=999_983)  # prime
+def test_bulk_class_numbers_sampled_to_a_million(k):
+    assert class_numbers_to_a_million()[k] == class_number(k)
+
+
+def test_bulk_class_numbers_check_arguments_and_budget(monkeypatch):
+    with pytest.raises(ValueError):
+        _class_numbers(0)
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(4 * 10**5))
+    with pytest.raises(MemoryError, match="class numbers over k <= 100000"):
+        _class_numbers(10**5)
 
 
 @settings(max_examples=10, deadline=None)
