@@ -257,7 +257,7 @@ def build_character_table(q: int) -> CharacterTable:
 
 @lru_cache(maxsize=32)
 def _cached_character_table(q: int) -> tuple[CharacterTable, list[complex]]:
-    """build_character_table(q) and its _tau_bars, cached: decompose_s1/s2 revisit each q for every a, beta and length."""
+    """build_character_table(q) and its _tau_bars, cached: decompose_s1/s2 revisit q for every a, beta and length."""
     table = build_character_table(q)
     return table, _tau_bars(table)
 

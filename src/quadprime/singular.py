@@ -452,7 +452,7 @@ def tail_phi(
     return singular_series_lmethod(k, tol) - dirichlet_partial(k, q1, mu=mu, phi=phi)
 
 
-_PHI_BLOCK = 16  # k per block in _tail_phi_bulk
+_PHI_BLOCK = 16  # k per block in _tail_phi_bulk: 32 was no faster at the bench size and peaked 0.6 MB higher
 
 
 def _tail_phi_bulk(ks: np.ndarray, q1: int, tol: float, mu: np.ndarray, phi: np.ndarray) -> np.ndarray:
