@@ -7,7 +7,7 @@ exponential sums exactly at rational points, and runs error-moment sweeps.
 
 __version__ = "0.1.0"
 
-from .arith import is_prime, jacobi, mobius_phi, von_mangoldt
+from .arith import jacobi, mobius_phi, von_mangoldt
 from .errors import VerificationError
 from .expsum import (
     ArcPoint,
@@ -16,7 +16,6 @@ from .expsum import (
     circle_psi_oracle,
     decompose_s1,
     decompose_s2,
-    e_of,
     g_quadratic,
     gauss_sum,
     pv_check,

@@ -1,17 +1,13 @@
-"""Exact scalar number theory: Jacobi symbols, 64-bit primality, pointwise Lambda, mu, phi.
+"""Exact scalar number theory: Jacobi symbols, trial-division factorization, pointwise Lambda, mu, phi.
 
 Everything in this module is integer-exact (the only float is the log in
-von_mangoldt).  Bulk/table variants of these functions live in `sieve`.
+von_mangoldt).  Lambda, mu and phi each come from one `factorize` call,
+so they cost a trial division of n.  Bulk/table variants live in `sieve`.
 """
 
 from __future__ import annotations
 
 import math
-
-# Deterministic Miller-Rabin witness set for every n < 2^64.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_U64_MAX = (1 << 64) - 1
 
 
 def jacobi(a: int, n: int) -> int:
@@ -34,68 +30,6 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality for 0 <= n < 2^64 (Miller-Rabin, fixed witnesses)."""
-    if n < 0 or n > _U64_MAX:
-        raise ValueError(f"is_prime: n must fit in an unsigned 64-bit word, got {n}")
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0, exact (float seed + integer correction)."""
-    if k == 1:
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    if n == 0:
-        return 0
-    r = int(round(n ** (1.0 / k)))
-    while r > 1 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
-
-
-def prime_power_base(n: int) -> int | None:
-    """Return p when n = p^e for a prime p (e >= 1), else None."""
-    if n < 2:
-        return None
-    # Walk exponents from the top; the first exact root is not itself a
-    # perfect power, so n is a prime power iff that base is prime.
-    for e in range(n.bit_length() - 1, 1, -1):
-        r = _iroot(n, e)
-        if r**e == n:
-            return r if is_prime(r) else None
-    return n if is_prime(n) else None
-
-
-def von_mangoldt(n: int) -> float:
-    """Lambda(n): log p when n = p^e, else 0.0."""
-    if n < 1:
-        raise ValueError(f"von_mangoldt: n must be >= 1, got {n}")
-    p = prime_power_base(n)
-    return math.log(p) if p is not None else 0.0
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -123,6 +57,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def von_mangoldt(n: int) -> float:
+    """Lambda(n): log p when n = p^e, else 0.0."""
+    if n < 1:
+        raise ValueError(f"von_mangoldt: n must be >= 1, got {n}")
+    factors = factorize(n)
+    return math.log(factors[0][0]) if len(factors) == 1 else 0.0
 
 
 def mobius_phi(n: int) -> tuple[int, int]:

@@ -72,7 +72,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def cmd_psi(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    lam = build_lambda_table(1, args.x * args.x + args.k)
+    lam = build_lambda_table(args.x * args.x + args.k)
     value = psi_value(args.x, args.k, lam)
     payload = {"x": args.x, "k": args.k, "psi": value}
     if args.x <= 20:
@@ -181,6 +181,8 @@ def check_weyl(seed: int) -> tuple[float, bool]:
 
 
 def check_pv(q_max: int) -> bool:
+    if q_max < 2:
+        raise ValueError(f"check pv: --qmax must be >= 2, got {q_max}")
     worst_q, worst_excess = 0, 0.0
     ok = True
     for q in range(2, q_max + 1):
@@ -203,7 +205,9 @@ def _coprime_as(q: int, how_many: int = 3) -> list[int]:
 
 
 def check_decompose(q_max: int = 60) -> bool:
-    lam = build_lambda_table(1, 1000)
+    if q_max < 1:
+        raise ValueError(f"check decompose: --qmax must be >= 1, got {q_max}")
+    lam = build_lambda_table(1000)
     worst1 = worst2 = 0.0
     r_bound_ok = True
     for q in range(1, q_max + 1):
@@ -227,6 +231,8 @@ def check_decompose(q_max: int = 60) -> bool:
 
 
 def check_gauss(q_max: int = 50) -> bool:
+    if q_max < 1:
+        raise ValueError(f"check gauss: --qmax must be >= 1, got {q_max}")
     ok = True
     worst_mod = 0.0
     for q in range(1, q_max + 1):

@@ -24,7 +24,6 @@ polynomial involved, giving an independent route to psi(x; k).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -40,11 +39,6 @@ CHARACTER_Q_CEILING = 10_000
 ORACLE_WORK_CEILING = 1 << 28
 _PV_DIRECTIONS = 8  # K, the projection directions of the diameter bracket in pv_check
 _PV_MARGIN = 1e-9  # relative slack on the brackets so rounding never prunes the maximiser
-
-
-def e_of(theta: float) -> complex:
-    """e(theta) = exp(2 pi i theta)."""
-    return cmath.exp(2j * math.pi * (theta % 1.0))
 
 
 @dataclass(frozen=True)
@@ -144,10 +138,6 @@ class CharacterTable:
     @property
     def phi(self) -> int:
         return len(self.chars)
-
-    @property
-    def principal(self) -> Character:
-        return next(ch for ch in self.chars if ch.is_principal)
 
 
 def _unit_cycles(q: int) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:

@@ -70,8 +70,8 @@ def psi_value(x: int, k: int, lam: LambdaTable) -> float:
     n = np.arange(1, x + 1, dtype=np.int64)
     idx = n * n + k
     if not lam.covers(1 + k, x * x + k):
-        raise IndexError(f"Lambda table covers [{lam.lo}, {lam.hi}], psi needs up to {x * x + k}")
-    return float(np.sum(lam.values[idx - lam.lo]))
+        raise IndexError(f"Lambda table covers [1, {lam.hi}], psi needs up to {x * x + k}")
+    return float(np.sum(lam.values[idx]))
 
 
 def _psi_bulk(x: int, y: int, lam: LambdaTable) -> np.ndarray:
@@ -86,8 +86,7 @@ def _psi_bulk(x: int, y: int, lam: LambdaTable) -> np.ndarray:
         hi = min(lo + _PSI_BLOCK, y + 1)
         block = psi[lo:hi]
         for n in range(1, x + 1):
-            base = n * n - lam.lo
-            block += lam.values[base + lo : base + hi]
+            block += lam.values[n * n + lo : n * n + hi]
     return psi
 
 
@@ -114,7 +113,7 @@ def run_sweep(x: int, y: int, cfg: SingularCfg) -> SweepResult:
 
     _check_budget(24 * (y + 1), f"psi, main-term and error arrays over k <= {y}")
     # no name holds the Lambda table, so it is freed before the main term is built
-    psi = _psi_bulk(x, y, build_lambda_table(1, x * x + y))
+    psi = _psi_bulk(x, y, build_lambda_table(x * x + y))
 
     if cfg.method == "euler":
         sing = singular_series_euler_bulk(y, max(cfg.euler_cutoff, x))

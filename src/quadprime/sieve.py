@@ -1,9 +1,9 @@
-"""Bulk sieved tables: primes, von Mangoldt values over a window, squarefree flags, mu/phi.
+"""Bulk sieved tables: primes, von Mangoldt values, squarefree flags, mu/phi.
 
-All builders are pure numpy and deterministic.  The von Mangoldt builder works
-in fixed-size segments so the peak footprint beyond the output array stays
-bounded; every builder checks the memory budget (the QUADPRIME_BUDGET_BYTES
-environment variable, else 2 GiB) before allocating.
+All builders are pure numpy and deterministic, and all of them take their
+primes from the one sieve of Eratosthenes, `build_prime_table`.  Every
+builder checks the memory budget (the QUADPRIME_BUDGET_BYTES environment
+variable, else 2 GiB) before allocating.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_SEGMENT = 1 << 20
 DEFAULT_BUDGET_BYTES = 2 << 30
 
 
@@ -75,81 +74,58 @@ def build_prime_table(limit: int) -> PrimeTable:
 
 @dataclass
 class LambdaTable:
-    """Von Mangoldt values Lambda(m) for m in the window [lo, hi].
+    """Von Mangoldt values Lambda(m) for m = 1..hi.
 
     Attributes:
-        lo: first index covered (>= 1).
-        values: float64 array, values[m - lo] = Lambda(m).
+        values: float64 array, values[m] = Lambda(m) (index 0 unused, set to 0).
     """
 
-    lo: int
     values: np.ndarray
 
     @property
     def hi(self) -> int:
-        return self.lo + len(self.values) - 1
+        return len(self.values) - 1
 
     def covers(self, lo: int, hi: int) -> bool:
-        return self.lo <= lo and hi <= self.hi
-
-    def lookup(self, m: int) -> float:
-        if not self.lo <= m <= self.hi:
-            raise IndexError(f"Lambda table covers [{self.lo}, {self.hi}], asked for {m}")
-        return float(self.values[m - self.lo])
+        return 1 <= lo and hi <= self.hi
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """View of the values for m = lo..hi (both inside the table)."""
         if not self.covers(lo, hi):
-            raise IndexError(f"Lambda table covers [{self.lo}, {self.hi}], asked for [{lo}, {hi}]")
-        return self.values[lo - self.lo : hi - self.lo + 1]
+            raise IndexError(f"Lambda table covers [1, {self.hi}], asked for [{lo}, {hi}]")
+        return self.values[lo : hi + 1]
 
 
-def build_lambda_table(lo: int, hi: int) -> LambdaTable:
-    """Segmented sieve of Lambda(m) over [lo, hi].
+def build_lambda_table(hi: int) -> LambdaTable:
+    """Lambda(m) for m = 1..hi from `build_prime_table(hi)`.
 
-    Primes in a segment get log m; afterwards every proper prime power p^j
-    (j >= 2, p <= sqrt(hi)) inside the window is overwritten with log p.
-    Segments are DEFAULT_SEGMENT long (read at call time) and independent, so
-    their length only affects the working set, never the output.
+    Each prime p gets log p, and then each proper prime power p^j (j >= 2)
+    gets log p too.  The budget check counts the peak, which comes after the
+    sieve: 8 bytes per m for the values and 16 per prime for the primes and
+    their logs.
 
     Args:
-        lo: window start, >= 1.
-        hi: window end, >= lo.
+        hi: last m covered, >= 1.
 
     Returns:
-        LambdaTable covering [lo, hi].
+        LambdaTable covering [1, hi].
     """
-    if lo < 1 or hi < lo:
-        raise ValueError(f"build_lambda_table: need 1 <= lo <= hi, got [{lo}, {hi}]")
-    root = math.isqrt(hi)
-    _check_budget(8 * (hi - lo + 1) + root + 1, f"Lambda table over [{lo}, {hi}]")
-
-    base = build_prime_table(root).primes
-    values = np.zeros(hi - lo + 1, dtype=np.float64)
-
-    for seg_lo in range(lo, hi + 1, DEFAULT_SEGMENT):
-        seg_hi = min(seg_lo + DEFAULT_SEGMENT - 1, hi)
-        is_p = np.ones(seg_hi - seg_lo + 1, dtype=bool)
-        if seg_lo == 1:
-            is_p[0] = False
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            if start > seg_hi:
-                continue
-            is_p[start - seg_lo :: p] = False
-        idx = np.nonzero(is_p)[0]
-        values[idx + (seg_lo - lo)] = np.log(idx.astype(np.float64) + seg_lo)
-
-    # Proper prime powers: Lambda(p^j) = log p, not log(p^j).
-    for p in base:
-        p = int(p)
+    if hi < 1:
+        raise ValueError(f"build_lambda_table: hi must be >= 1, got {hi}")
+    # pi(hi) < 1.25506 hi / ln hi (Rosser-Schoenfeld)
+    n_primes = int(1.25506 * hi / math.log(hi)) + 1 if hi > 1 else 0
+    _check_budget(8 * (hi + 1) + 16 * n_primes, f"Lambda table over [1, {hi}]")
+    primes = build_prime_table(hi).primes
+    values = np.zeros(hi + 1, dtype=np.float64)
+    logs = primes.astype(np.float64)
+    values[primes] = np.log(logs, out=logs)
+    for p in primes[: np.searchsorted(primes, math.isqrt(hi), side="right")].tolist():
+        log_p = math.log(p)
         pj = p * p
         while pj <= hi:
-            if pj >= lo:
-                values[pj - lo] = math.log(p)
+            values[pj] = log_p
             pj *= p
-    return LambdaTable(lo, values)
+    return LambdaTable(values)
 
 
 def build_squarefree_table(limit: int) -> np.ndarray:

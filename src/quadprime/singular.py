@@ -391,6 +391,8 @@ def sl_product_bulk(y: int, tol: float) -> np.ndarray:
     """sl_product for every k = 1..y at once (index 0 unused, set to 0)."""
     if y < 1:
         raise ValueError(f"sl_product_bulk: y must be >= 1, got {y}")
+    if not tol > 0:
+        raise ValueError(f"sl_product_bulk: tol must be positive, got {tol}")
     return _bulk_product(y, _sl_cutoff(tol), _sl_factor)
 
 
@@ -521,6 +523,8 @@ def sandwich_violations(k_max: int, tol: float) -> list[tuple[int, float]]:
     SL(k) is sl_product to tol/4, computed for all k at once; each value
     equals the scalar sl_product(k, tol/4) exactly (same factors, same order).
     """
+    if not tol > 0:
+        raise ValueError(f"sandwich_violations: tol must be positive, got {tol}")
     lower, upper = sandwich_bounds()
     product = sl_product_bulk(k_max, tol / 4.0)
     outside = build_squarefree_table(k_max) & ~((lower - tol <= product) & (product <= upper + tol))

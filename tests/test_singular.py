@@ -645,3 +645,14 @@ def test_sandwich_violations_are_the_scalar_products(monkeypatch):
     monkeypatch.setattr(singular, "sandwich_bounds", lambda: (1.0, 1.0))
     want = [(k, sl_product(k, 2.5e-5)) for k in range(1, 51) if squarefree(k)]
     assert sandwich_violations(50, 1e-4) == want
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_sl_products_and_sandwich_reject_a_nonpositive_tol(tol):
+    for name, call in [
+        ("sl_product", lambda: sl_product(5, tol)),
+        ("sl_product_bulk", lambda: sl_product_bulk(10, tol)),
+        ("sandwich_violations", lambda: sandwich_violations(10, tol)),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name}: tol must be positive"):
+            call()
