@@ -34,7 +34,7 @@ from .expsum import (
     s2,
     weyl_ratio,
 )
-from .moments import phi_moment, run_sweep, write_errors_csv, write_moments_csv, psi_value
+from .moments import _check_psi_args, phi_moment, psi_value, run_sweep, write_errors_csv, write_moments_csv
 from .sieve import build_lambda_table, build_prime_table, build_squarefree_table
 from .singular import SingularCfg, sandwich_violations, sigma_q, singular_series
 
@@ -72,6 +72,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def cmd_psi(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    _check_psi_args(args.x, args.k)  # before the table, whose size they set
     lam = build_lambda_table(args.x * args.x + args.k)
     value = psi_value(args.x, args.k, lam)
     payload = {"x": args.x, "k": args.k, "psi": value}
@@ -204,7 +205,7 @@ def _coprime_as(q: int, how_many: int = 3) -> list[int]:
     return out[:how_many]
 
 
-def check_decompose(q_max: int = 60) -> bool:
+def check_decompose(q_max: int) -> bool:
     if q_max < 1:
         raise ValueError(f"check decompose: --qmax must be >= 1, got {q_max}")
     lam = build_lambda_table(1000)
@@ -230,7 +231,7 @@ def check_decompose(q_max: int = 60) -> bool:
     return ok
 
 
-def check_gauss(q_max: int = 50) -> bool:
+def check_gauss(q_max: int) -> bool:
     if q_max < 1:
         raise ValueError(f"check gauss: --qmax must be >= 1, got {q_max}")
     ok = True

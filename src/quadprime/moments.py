@@ -10,6 +10,15 @@ accumulation is single-threaded: per block of k, one ascending-n array add
 per n, so every k gets the same additions in the same order whatever the
 block size, and every moment is reduced with math.fsum (exact summation) in
 ascending k.
+
+errors.csv holds the bytes csv.writer gives for format(v, ".12g"), but is
+formatted in numpy, a block of rows at a time.  A float a = |v| in [1e-4,
+1e11) is printed from its 12-digit significand rint(a 10^(11 - e)), e the
+decimal exponent, through 4-digit ASCII tables.  That significand is the
+correctly rounded one unless the product lies within 2.5e-4 of a
+half-integer, where its own rounding could tip it; those values, and zeros,
+NaN, infinities, subnormals and values outside the range, are formatted by
+format() (1,112 of the 1,920,000 floats of the x = 800, y = 640000 sweep).
 """
 
 from __future__ import annotations
@@ -30,9 +39,8 @@ from .singular import (
 )
 
 EXCEPTIONAL_B_GRID = (0.5, 1.0, 1.5, 2.0)
-_CSV_BLOCK = 1 << 16
+_CSV_BLOCK = 1 << 15
 _PSI_BLOCK = 1 << 15
-_CSV_ROW = "%d,%d,%.12g,%.12g,%.12g\r\n"
 
 
 @dataclass
@@ -63,10 +71,14 @@ def _exceptional_threshold(x: int, b: float) -> float:
     return x / math.log(x) ** b
 
 
-def psi_value(x: int, k: int, lam: LambdaTable) -> float:
-    """sum_{n <= x} Lambda(n^2 + k) from a prebuilt table."""
+def _check_psi_args(x: int, k: int) -> None:
     if x < 1 or k < 1:
         raise ValueError(f"psi_value: need x >= 1 and k >= 1, got x={x}, k={k}")
+
+
+def psi_value(x: int, k: int, lam: LambdaTable) -> float:
+    """sum_{n <= x} Lambda(n^2 + k) from a prebuilt table."""
+    _check_psi_args(x, k)
     n = np.arange(1, x + 1, dtype=np.int64)
     idx = n * n + k
     if not lam.covers(1 + k, x * x + k):
@@ -167,6 +179,111 @@ def phi_moment(y: int, q1: int, tol: float) -> float:
 # --- CSV emission ------------------------------------------------------------
 
 
+def _slots(chars: np.ndarray) -> np.ndarray:
+    """Rows of 4 ASCII codes (0 where a character is dropped) as one uint32 slot each."""
+    return np.ascontiguousarray(chars, dtype=np.uint8).view(np.uint32)[:, 0]
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Digit slots for the errors.csv kernel, each indexed by value + size * flag.
+
+    _LEAD: a 4-digit group g, then (flag set) g without leading zeros, empty for 0.
+    _LAST: the same, but "0" for 0 when flagged.
+    _TRAIL: g, then g without trailing zeros, empty for 0.
+    _HEAD: ".ddd" for 0 <= h < 1000, then the same without trailing zeros, empty
+    (point included) for 0.
+    """
+    g = np.arange(10_000)[:, None]
+    place = 10 ** np.arange(3, -1, -1)
+    full = g // place % 10 + ord("0")
+    lead = np.where(g >= place, full, 0)
+    last = lead.copy()
+    last[0, 3] = ord("0")
+    trail = np.where(g % (10 * place) != 0, full, 0)
+    h = np.arange(1000)[:, None]
+    head = np.hstack([np.full((1000, 1), ord(".")), h // place[1:] % 10 + ord("0")])
+    head_strip = np.where(h % np.array([1000, 1000, 100, 10]) != 0, head, 0)
+    return (
+        np.concatenate([_slots(full), _slots(lead)]),
+        np.concatenate([_slots(full), _slots(last)]),
+        np.concatenate([_slots(full), _slots(trail)]),
+        np.concatenate([_slots(head), _slots(head_strip)]),
+    )
+
+
+_LEAD, _LAST, _TRAIL, _HEAD = _digit_tables()
+_COMMA, _COMMA_MINUS, _ZERO, _ONE, _CRLF = _slots([list(c.ljust(4, b"\0")) for c in (b",", b",-", b",0", b",1", b"\r\n")])
+_POW10 = np.array([float(f"1e{e}") for e in range(-4, 16)])  # 10^e at index e + 4, exact for e >= 0
+_FLOAT_SLOTS = 8  # ",-", three integer groups, ".ddd", three fraction groups
+_HALF_WINDOW = 2.5e-4
+
+
+def _put_int(out: np.ndarray, row: int, x: np.ndarray, groups: int) -> None:
+    """Write integer-valued x, 0 <= x < 10^(4 groups), into out[row : row + groups].
+
+    Leading zeros are dropped and x = 0 is written "0".  Each group is an exact
+    floor division of x < 2^53 by a power of 10^4.
+    """
+    r = x
+    for i in range(groups):
+        place = 1e4 ** (groups - 1 - i)
+        q = np.floor(r / place)
+        r = r - q * place
+        table = _LAST if i == groups - 1 else _LEAD
+        out[row + i] = table[(q + 1e4 * (x < 1e4 * place)).astype(np.intp)]
+
+
+def _put_floats(out: np.ndarray, row: int, v: np.ndarray) -> None:
+    """Write "," + format(v, ".12g") for each v into out[row : row + _FLOAT_SLOTS].
+
+    A value a = |v| in [1e-4, 1e11) with e = floor(log10 a) prints in fixed
+    notation as the 12-digit significand N = round(a 10^(11-e)) with the point
+    after e + 1 digits: floor(N / 10^(11-e)), then the remainder left-aligned
+    to 15 fraction digits, each split into 4-digit groups.  s = a 10^(11-e)
+    is one rounding of the exact product (10^(11-e) is an exact double), off
+    by at most half an ulp, 6.1e-5 below 10^12; so when s lies more than
+    _HALF_WINDOW from a half-integer, rint(s) is the correctly rounded N that
+    Python's dtoa prints.  The splits are exact, every operand being an
+    integer below 2^53.  A carry to N = 10^12 needs no check: it splits as
+    10^(e+1), which format() also prints in fixed notation, since e + 1 <= 11.
+    format() writes every other value into the same 32 bytes: zeros, NaN,
+    infinities, subnormals, a outside the range, and s within the window.
+
+    log10 rounds some a just below 10^j up to j (999.9999999999999 gives 3.0),
+    and could round some a at or just above 10^j down.  log10 is off by an
+    ulp or two at most, so such an a is within 10^-14 of 10^j, relative: s
+    then lies within 10^-2 of 10^11 or 10^12, rint(s) is that power of ten,
+    and 10^j is printed, as format() prints it, since a 12-digit rounding
+    step is 10^-12.
+    """
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e11)
+    a = np.where(fast, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)), -4, 10).astype(np.intp)
+    p = _POW10[15 - e]  # 10^(11 - e)
+    s = a * p
+    n = np.rint(s)
+    fast &= np.abs(s - n) < 0.5 - _HALF_WINDOW
+    ipart = np.floor(n / p)
+    frac = (n - ipart * p) * _POW10[8 + e]  # left-aligned to 15 digits
+    out[row] = np.where(v < 0, _COMMA_MINUS, _COMMA)
+    _put_int(out, row + 1, ipart, 3)
+    h = np.floor(frac / 1e12)
+    r12 = frac - h * 1e12
+    f1 = np.floor(r12 / 1e8)
+    r8 = r12 - f1 * 1e8
+    f2 = np.floor(r8 / 1e4)
+    f3 = r8 - f2 * 1e4
+    out[row + 4] = _HEAD[(h + 1000 * (r12 == 0)).astype(np.intp)]
+    out[row + 5] = _TRAIL[(f1 + 1e4 * (r8 == 0)).astype(np.intp)]
+    out[row + 6] = _TRAIL[(f2 + 1e4 * (f3 == 0)).astype(np.intp)]
+    out[row + 7] = _TRAIL[(f3 + 1e4).astype(np.intp)]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = b"".join(("," + format(x, ".12g")).encode().ljust(4 * _FLOAT_SLOTS, b"\0") for x in v[slow].tolist())
+        out[row : row + _FLOAT_SLOTS, slow] = np.frombuffer(text, np.uint32).reshape(-1, _FLOAT_SLOTS).T
+
+
 def _fmt(v: float) -> str:
     return format(v, ".12g")
 
@@ -174,22 +291,27 @@ def _fmt(v: float) -> str:
 def write_errors_csv(result: SweepResult, path: str) -> None:
     """Per-k rows: k, squarefree, psi, singular, error (floats at 12 significant digits).
 
-    Rows go out in blocks of _CSV_BLOCK.  A block's values are laid row by row
-    into one flat list and formatted by a single % of the row format repeated
-    once per row, so only one block at a time is held as Python objects; the
-    bytes match csv.writer's (CRLF, no quoting).
+    The bytes are those of csv.writer (CRLF, no quoting) over "%d" k and
+    squarefree and format(v, ".12g") floats.  Rows go out in blocks of
+    _CSV_BLOCK, formatted in numpy: each field fills fixed 4-byte slots from
+    the digit tables, laid out slot-major (one contiguous row per slot), and
+    one transpose puts the block in row order before the unused 0 bytes are
+    deleted.  Floats take the exact kernel of _put_floats, and format() only
+    where that kernel cannot prove the digits.
     """
     y = result.summary.y
-    cols = (result.squarefree, result.psi, result.singular, result.error)
-    with open(path, "w", newline="") as fh:
-        fh.write("k,squarefree,psi,singular,error\r\n")
+    k_groups = (len(str(y)) + 3) // 4
+    with open(path, "wb") as fh:
+        fh.write(b"k,squarefree,psi,singular,error\r\n")
         for lo in range(1, y + 1, _CSV_BLOCK):
             hi = min(lo + _CSV_BLOCK, y + 1)
-            flat = [None] * (5 * (hi - lo))
-            flat[0::5] = range(lo, hi)
-            for j, col in enumerate(cols, 1):
-                flat[j::5] = col[lo:hi].tolist()
-            fh.write(_CSV_ROW * (hi - lo) % tuple(flat))
+            out = np.empty((k_groups + 2 + 3 * _FLOAT_SLOTS, hi - lo), dtype=np.uint32)
+            _put_int(out, 0, np.arange(lo, hi, dtype=np.float64), k_groups)
+            out[k_groups] = np.where(result.squarefree[lo:hi], _ONE, _ZERO)
+            for j, col in enumerate((result.psi, result.singular, result.error)):
+                _put_floats(out, k_groups + 1 + j * _FLOAT_SLOTS, col[lo:hi])
+            out[-1] = _CRLF
+            fh.write(out.T.tobytes().translate(None, b"\0"))
 
 
 def write_moments_csv(summaries: list[MomentSummary], path: str) -> None:

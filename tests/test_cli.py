@@ -213,6 +213,13 @@ def test_check_suites_reject_an_empty_modulus_range(argv, capsys):
     assert "ok" not in captured.out
 
 
+@pytest.mark.parametrize("x, k", [("3", "-20"), ("100000", "0"), ("0", "5")])
+def test_psi_checks_its_arguments_before_the_table(x, k, monkeypatch, capsys):
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", "100000")  # a table to x^2 + k would not fit
+    assert run(["psi", "--x", x, "--k", k]) == 1
+    assert capsys.readouterr().err == f"error: psi_value: need x >= 1 and k >= 1, got x={x}, k={k}\n"
+
+
 def test_tables_counts(capsys):
     assert run(["tables", "--limit", "4000"]) == 0
     assert capsys.readouterr().out == "primes <= 4000: 550\nsquarefree <= 4000: 2433\n"

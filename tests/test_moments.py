@@ -5,6 +5,7 @@ implementation so the counting side is checked independently of the sieve.
 """
 
 import csv
+import hashlib
 import math
 import warnings
 
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 from quadprime import moments, singular
 from quadprime.moments import (
+    MomentSummary,
+    SweepResult,
     _psi_bulk,
     phi_moment,
     psi_value,
@@ -290,19 +293,117 @@ def test_errors_csv_golden(tmp_path, cfg):
     assert len(lines) == 101
 
 
-def test_errors_csv_bytes_match_csv_writer_across_blocks(tmp_path, cfg, monkeypatch):
-    r = run_sweep(10, 100, cfg)
-    want = tmp_path / "want.csv"
-    with open(want, "w", newline="") as fh:
+def csv_writer_bytes(r, path):
+    """errors.csv as csv.writer writes it: the reference for write_errors_csv."""
+    with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "squarefree", "psi", "singular", "error"])
-        for k in range(1, 101):
+        for k in range(1, r.summary.y + 1):
             floats = (r.psi[k], r.singular[k], r.error[k])
             w.writerow([k, int(r.squarefree[k])] + [format(float(v), ".12g") for v in floats])
+    return path.read_bytes()
+
+
+def float_columns(psi, singular, error):
+    """A SweepResult holding the given floats at k = 1..n, squarefree at odd k."""
+    n = len(psi)
+    summary = MomentSummary(x=2, y=n, count_squarefree=0, second_moment=0.0, normalized=0.0)
+    cols = [np.concatenate([[0.0], np.asarray(c, dtype=np.float64)]) for c in (psi, singular, error)]
+    return SweepResult(summary, np.arange(n + 1) % 2 == 1, *cols)
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+def test_errors_csv_bytes_match_csv_writer_across_blocks(tmp_path, cfg, monkeypatch):
+    r = run_sweep(10, 100, cfg)
+    want = csv_writer_bytes(r, tmp_path / "want.csv")
     monkeypatch.setattr(moments, "_CSV_BLOCK", 7)  # 100 rows: 14 full blocks and a partial one
     got = tmp_path / "got.csv"
     write_errors_csv(r, str(got))
-    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes() == want
+
+
+def test_errors_csv_whole_file_is_pinned(tmp_path, cfg):
+    path = tmp_path / "errors.csv"
+    write_errors_csv(run_sweep(100, 10_000, cfg), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "f25a30a7b737c517aa307f2924699c5f709a1cb91356ce2e3b5ff17fe6712632"
+    )
+
+
+# Values at the edges of the numpy kernel in write_errors_csv.  The last group
+# were found by a search: for each, rint(fl(a 10^(11-e))) is not the correctly
+# rounded 12-digit significand, because the product rounds onto a half.
+KERNEL_EDGES = [
+    *(b for v in (0.0, 5e-324, 1e-4, 1e11) for b in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))),
+    *(np.nextafter(10.0**j, 0) for j in range(-3, 11)),  # log10 rounds these up to j
+    -0.0,
+    9.9999999999995,
+    0.99999999999995,
+    1200.0,
+    100.0,
+    2.5,
+    1234.5,
+    0.0009537845024235,
+    3360820063.975,
+    3.492020836405,
+    75231094.66965,
+]
+FALLBACK_CLASSES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,  # zeros, non-finite, tiny
+    9.99e-5, 1e-300, 1e11, 123456789012.0, 1.5e300,  # outside [1e-4, 1e11)
+    0.0009537845024235, 3360820063.975, 3.492020836405,  # within the half-window
+]
+
+
+def with_examples(values):
+    def apply(test):
+        for v in values:
+            test = example(float(v))(test)
+        return test
+
+    return apply
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@with_examples(KERNEL_EDGES)
+def test_errors_csv_floats_are_written_as_format_writes_them(csv_dir, v):
+    path = csv_dir / "one.csv"
+    write_errors_csv(float_columns([v], [-v], [v]), str(path))
+    row = ",".join(format(u, ".12g") for u in (v, -v, v))
+    assert path.read_bytes() == f"k,squarefree,psi,singular,error\r\n1,1,{row}\r\n".encode()
+
+
+def test_errors_csv_every_fallback_class_matches_csv_writer(tmp_path, monkeypatch):
+    fast = [1.0, -0.5, 13.3618368665, 99999999999.0, 1e-4, 0.000123, 9.9999999999995]
+    values = FALLBACK_CLASSES + fast
+    r = float_columns(values, values[::-1], values[7:] + values[:7])
+    want = csv_writer_bytes(r, tmp_path / "want.csv")
+    monkeypatch.setattr(moments, "_CSV_BLOCK", 5)  # some blocks all fallback, some mixed
+    got = tmp_path / "got.csv"
+    write_errors_csv(r, str(got))
+    assert got.read_bytes() == want
+
+
+def test_errors_csv_bytes_match_format_over_a_broad_sample(tmp_path):
+    rng = np.random.default_rng(20)
+    values = np.concatenate(
+        [
+            10 ** rng.uniform(-6, 13, 20_000),
+            np.arange(1, 10_001) / 8,
+            np.arange(1, 10_001) / 1000,
+            rng.integers(0, 2**63, 10_000, dtype=np.uint64).view(np.float64),
+        ]
+    )
+    values.view(np.uint64)[::2] ^= np.uint64(1 << 63)  # flip the sign bit, NaNs included
+    r = float_columns(values, values[::-1], np.roll(values, 1))
+    got = tmp_path / "got.csv"
+    write_errors_csv(r, str(got))
+    assert got.read_bytes() == csv_writer_bytes(r, tmp_path / "want.csv")
 
 
 def test_moments_csv_golden(tmp_path, cfg):
