@@ -193,16 +193,16 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     _HEAD: ".ddd" for 0 <= h < 1000, then the same without trailing zeros, empty
     (point included) for 0.
     """
-    g = np.arange(10_000)[:, None]
-    place = 10 ** np.arange(3, -1, -1)
-    full = g // place % 10 + ord("0")
+    g = np.arange(10_000, dtype=np.uint16)[:, None]  # small dtypes keep the import's peak memory low
+    place = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    full = (g // place % 10 + ord("0")).astype(np.uint8)
     lead = np.where(g >= place, full, 0)
     last = lead.copy()
     last[0, 3] = ord("0")
     trail = np.where(g % (10 * place) != 0, full, 0)
-    h = np.arange(1000)[:, None]
-    head = np.hstack([np.full((1000, 1), ord(".")), h // place[1:] % 10 + ord("0")])
-    head_strip = np.where(h % np.array([1000, 1000, 100, 10]) != 0, head, 0)
+    h = g[:1000]
+    head = np.hstack([np.full((1000, 1), ord("."), dtype=np.uint8), full[:1000, 1:]])
+    head_strip = np.where(h % np.array([1000, 1000, 100, 10], dtype=np.uint16) != 0, head, 0)
     return (
         np.concatenate([_slots(full), _slots(lead)]),
         np.concatenate([_slots(full), _slots(last)]),

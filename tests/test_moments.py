@@ -334,7 +334,7 @@ def test_errors_csv_whole_file_is_pinned(tmp_path, cfg):
     )
 
 
-# Values at the edges of the numpy kernel in write_errors_csv.  The last group
+# Values at the edges of the numpy kernel in write_errors_csv.  The last four
 # were found by a search: for each, rint(fl(a 10^(11-e))) is not the correctly
 # rounded 12-digit significand, because the product rounds onto a half.
 KERNEL_EDGES = [
