@@ -179,6 +179,10 @@ def phi_moment(y: int, q1: int, tol: float) -> float:
 # --- CSV emission ------------------------------------------------------------
 
 
+def _fmt(v: float) -> str:
+    return format(v, ".12g")
+
+
 def _slots(chars: np.ndarray) -> np.ndarray:
     """Rows of 4 ASCII codes (0 where a character is dropped) as one uint32 slot each."""
     return np.ascontiguousarray(chars, dtype=np.uint8).view(np.uint32)[:, 0]
@@ -200,9 +204,8 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     last = lead.copy()
     last[0, 3] = ord("0")
     trail = np.where(g % (10 * place) != 0, full, 0)
-    h = g[:1000]
     head = np.hstack([np.full((1000, 1), ord("."), dtype=np.uint8), full[:1000, 1:]])
-    head_strip = np.where(h % np.array([1000, 1000, 100, 10], dtype=np.uint16) != 0, head, 0)
+    head_strip = np.where(g[:1000] % np.array([1000, 1000, 100, 10], dtype=np.uint16) != 0, head, 0)
     return (
         np.concatenate([_slots(full), _slots(lead)]),
         np.concatenate([_slots(full), _slots(last)]),
@@ -212,8 +215,10 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 _LEAD, _LAST, _TRAIL, _HEAD = _digit_tables()
-_COMMA, _COMMA_MINUS, _ZERO, _ONE, _CRLF = _slots([list(c.ljust(4, b"\0")) for c in (b",", b",-", b",0", b",1", b"\r\n")])
-_POW10 = np.array([float(f"1e{e}") for e in range(-4, 16)])  # 10^e at index e + 4, exact for e >= 0
+_COMMA, _COMMA_MINUS, _ZERO, _ONE, _CRLF = _slots(
+    [list(c.ljust(4, b"\0")) for c in (b",", b",-", b",0", b",1", b"\r\n")]
+)
+_POW10 = (10 ** np.arange(16)).astype(np.float64)  # exact doubles
 _FLOAT_SLOTS = 8  # ",-", three integer groups, ".ddd", three fraction groups
 _HALF_WINDOW = 2.5e-4
 
@@ -260,12 +265,12 @@ def _put_floats(out: np.ndarray, row: int, v: np.ndarray) -> None:
     fast = (a >= 1e-4) & (a < 1e11)
     a = np.where(fast, a, 1.0)
     e = np.clip(np.floor(np.log10(a)), -4, 10).astype(np.intp)
-    p = _POW10[15 - e]  # 10^(11 - e)
+    p = _POW10[11 - e]
     s = a * p
     n = np.rint(s)
     fast &= np.abs(s - n) < 0.5 - _HALF_WINDOW
     ipart = np.floor(n / p)
-    frac = (n - ipart * p) * _POW10[8 + e]  # left-aligned to 15 digits
+    frac = (n - ipart * p) * _POW10[4 + e]  # left-aligned to 15 digits
     out[row] = np.where(v < 0, _COMMA_MINUS, _COMMA)
     _put_int(out, row + 1, ipart, 3)
     h = np.floor(frac / 1e12)
@@ -280,12 +285,8 @@ def _put_floats(out: np.ndarray, row: int, v: np.ndarray) -> None:
     out[row + 7] = _TRAIL[(f3 + 1e4).astype(np.intp)]
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = b"".join(("," + format(x, ".12g")).encode().ljust(4 * _FLOAT_SLOTS, b"\0") for x in v[slow].tolist())
+        text = b"".join(("," + _fmt(x)).encode().ljust(4 * _FLOAT_SLOTS, b"\0") for x in v[slow].tolist())
         out[row : row + _FLOAT_SLOTS, slow] = np.frombuffer(text, np.uint32).reshape(-1, _FLOAT_SLOTS).T
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".12g")
 
 
 def write_errors_csv(result: SweepResult, path: str) -> None:

@@ -339,7 +339,7 @@ def test_errors_csv_whole_file_is_pinned(tmp_path, cfg):
 # rounded 12-digit significand, because the product rounds onto a half.
 KERNEL_EDGES = [
     *(b for v in (0.0, 5e-324, 1e-4, 1e11) for b in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))),
-    *(np.nextafter(10.0**j, 0) for j in range(-3, 11)),  # log10 rounds these up to j
+    *(np.nextafter(10.0**j, 0) for j in range(-3, 11)),  # log10 rounds most of these up to j
     -0.0,
     9.9999999999995,
     0.99999999999995,
