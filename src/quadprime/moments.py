@@ -138,13 +138,13 @@ def run_sweep(x: int, y: int, cfg: SingularCfg) -> SweepResult:
     error[0] = 0.0
     sf = build_squarefree_table(y)
 
-    sf_errors = error[1:][sf[1:]]
-    second_moment = math.fsum(v * v for v in sf_errors.tolist())
-    count_sf = int(np.count_nonzero(sf))
-    normalized = second_moment / (y * float(x) * float(x))
+    sf_errors = error[1:][sf[1:]]  # a copy, squared in place once the exceptional sets are counted
     exceptional = {
         b: int(np.count_nonzero(np.abs(sf_errors) > _exceptional_threshold(x, b))) for b in EXCEPTIONAL_B_GRID
     }
+    second_moment = math.fsum(np.square(sf_errors, out=sf_errors).tolist())
+    count_sf = int(np.count_nonzero(sf))
+    normalized = second_moment / (y * float(x) * float(x))
 
     summary = MomentSummary(
         x=x,

@@ -187,26 +187,36 @@ def _sl_factor(p, chi):
     return (base - p * chi) / (base - (p - 1.0) * chi)
 
 
+_ROW_WIDTH = 1 << 13  # factor rows of p below this are repeated to at least this many entries
+
+
 def _bulk_product(y: int, cutoff: int, factor) -> np.ndarray:
     """prod of factor(p, chi_k(p)) over odd p <= cutoff for every k = 0..y (index 0 set to 0).
 
-    chi_k(p) = (-k/p) depends only on k mod p, so each prime's factor row is
-    built once on the residues r < L = min(p, y + 1) and multiplied in place
-    into acc seen as m = (y + 1) // L rows of length L, then into the last
-    y + 1 - m L entries.  No length-y temporary is made, and every k gets the
-    same factors in the same ascending-prime order.
+    chi_k(p) = (-k/p) is periodic mod p and +1 exactly at k = p - (r^2 mod p),
+    0 < r <= p/2, so a prime's row is filled from factor() at chi = -1, 0 and
+    +1, repeated to ceil(_ROW_WIDTH/p) p entries (short rows multiply slowly),
+    cut to L <= y + 1 and multiplied in place into acc seen as (y + 1) // L
+    rows of length L, then into the tail.  No length-y temporary is made, and
+    every k gets the same factors in the same ascending-prime order.
     """
     _check_budget(8 * (y + 1), f"bulk product over k <= {y}")
+    primes = _odd_primes_upto(cutoff)
+    # a row peaks at 8 bytes per entry and 8 per residue of p (measured): under 17 p + 9 _ROW_WIDTH for any p
+    _check_budget(17 * int(primes[-1]) + 9 * _ROW_WIDTH, f"factor row from the Legendre table mod {primes[-1]}")
     acc = np.ones(y + 1, dtype=np.float64)
-    for p in _odd_primes_upto(cutoff):
-        p = int(p)
-        r = np.arange(min(p, y + 1), dtype=np.int64)
-        row = factor(p, _legendre_table(p)[(-r) % p].astype(np.float64))
+    for p in map(int, primes):
+        minus, zero, plus = factor(p, np.array([-1.0, 0.0, 1.0])).tolist()
+        row = np.full(-(-_ROW_WIDTH // p) * p, minus)
+        row[0] = zero
+        row[p - np.arange(1, p // 2 + 1, dtype=np.int64) ** 2 % p] = plus
+        row.reshape(-1, p)[1:] = row[:p]
+        row = row[: y + 1]
         span = (y + 1) // len(row) * len(row)
         rows = acc[:span].reshape(-1, len(row))
         rows *= row
-        tail = acc[span:]
-        tail *= row[: len(tail)]
+        acc[span:] *= row[: y + 1 - span]
+        del row  # so the next prime's row is not built beside this one
     acc[0] = 0.0
     return acc
 

@@ -366,6 +366,36 @@ def test_sl_bulk_equals_gather_oracle(y, tol):
     assert np.array_equal(sl_product_bulk(y, tol), sl_gather(y, tol))
 
 
+# Rows of p < 2^13 are repeated to ceil(2^13/p) p entries before the cut to
+# y + 1, so y + 1 runs on both sides of 2^13 and of 8 * 1021 (where ceil and
+# floor of 2^13/1021 differ), and cutoffs run past 2^13: widened rows, rows
+# cut to y + 1, rows of p >= 2^13 and partial tails are all compared.
+
+
+@settings(max_examples=15, deadline=None)
+@given(y=st.integers(1, 3 * 2**13), cutoff=st.integers(3, 9000))
+@example(y=2**13 - 2, cutoff=8300)
+@example(y=2**13 - 1, cutoff=8300)
+@example(y=2**13, cutoff=8300)
+@example(y=8 * 1021 - 1, cutoff=8300)
+@example(y=8 * 1021, cutoff=8300)
+@example(y=3 * 2**13, cutoff=9000)
+def test_euler_bulk_equals_gather_oracle_across_the_row_width(y, cutoff):
+    assert np.array_equal(singular_series_euler_bulk(y, cutoff), euler_gather(y, cutoff))
+
+
+@settings(max_examples=15, deadline=None)
+@given(y=st.integers(1, 3 * 2**13), tol=st.floats(3.5e-5, 1e-2))
+@example(y=2**13 - 2, tol=3.5e-5)  # cutoff 9726
+@example(y=2**13 - 1, tol=3.5e-5)
+@example(y=2**13, tol=3.5e-5)
+@example(y=8 * 1021 - 1, tol=3.5e-5)
+@example(y=8 * 1021, tol=3.5e-5)
+@example(y=3 * 2**13, tol=3.5e-5)
+def test_sl_bulk_equals_gather_oracle_across_the_row_width(y, tol):
+    assert np.array_equal(sl_product_bulk(y, tol), sl_gather(y, tol))
+
+
 def test_euler_bulk_allocates_no_length_y_temporary():
     y, cutoff = 200_000, 2000
     singular._primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
@@ -377,6 +407,49 @@ def test_euler_bulk_allocates_no_length_y_temporary():
         tracemalloc.stop()
     row_temporaries = 64 * cutoff  # a handful of length-p int64/float64 rows
     assert peak <= 8 * (y + 1) + row_temporaries + (1 << 20)
+
+
+def test_sl_bulk_allocates_no_length_y_temporary():
+    y, tol = 200_000, 2e-4
+    cutoff = _sl_cutoff(tol)  # 2052
+    singular._primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
+    tracemalloc.start()
+    try:
+        sl_product_bulk(y, tol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row_temporaries = 64 * cutoff  # a handful of length-p int64/float64 rows
+    assert peak <= 8 * (y + 1) + row_temporaries + (1 << 20)
+
+
+@pytest.mark.parametrize("cutoff", [3, 97, 8191, 19997])
+def test_bulk_row_peak_is_within_its_count(cutoff):
+    y = 10**5
+    singular._primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
+    tracemalloc.start()
+    try:
+        singular_series_euler_bulk(y, cutoff)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * (y + 1) <= 17 * cutoff + 9 * singular._ROW_WIDTH  # each cutoff is prime
+
+
+def test_bulk_product_checks_the_budget_once_per_call(monkeypatch):
+    singular._primes_upto(10**4)  # a growing sieve checks the budget too
+    checks = []
+
+    def counting_check(nbytes, what):
+        checks.append(what)
+
+    monkeypatch.setattr(singular, "_check_budget", counting_check)
+    counts = []
+    for cutoff in (100, 10**4):  # 24 and 1,228 odd primes
+        checks.clear()
+        singular_series_euler_bulk(1000, cutoff)
+        counts.append(len(checks))
+    assert counts[0] == counts[1]
 
 
 def test_bulk_products_check_the_budget(monkeypatch):
