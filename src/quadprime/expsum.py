@@ -175,7 +175,19 @@ def _unit_cycles(q: int) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
     return cycle_logs, unit_mask
 
 
-def _character_values(q: int) -> tuple[np.ndarray, np.ndarray]:
+def _conjugate_indices(cycle_orders: list[int]) -> np.ndarray:
+    """conj(index) for every character index: the mixed-radix digits j_c become (-j_c) mod o_c."""
+    rem = np.arange(math.prod(cycle_orders), dtype=np.int64)
+    conj = np.zeros_like(rem)
+    place = 1
+    for order in cycle_orders:
+        conj += (-rem % order) * place
+        rem //= order
+        place *= order
+    return conj
+
+
+def _character_values(q: int, one_per_pair: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The read-only phi(q) x q value matrix of the characters mod q, and their orders.
 
     A character is a choice of exponent on each cycle of _unit_cycles(q);
@@ -183,9 +195,14 @@ def _character_values(q: int) -> tuple[np.ndarray, np.ndarray]:
     With lam the lcm of the cycle orders o_c, chi(n) = e(m / lam) on the
     units, where m = sum_c j_c log_c(n) (lam / o_c) mod lam is exact integer
     arithmetic; every value is then one gather from the lam-th roots of unity
-    (one more slot, 0, serves the non-units).  q is capped by
+    (one more slot, 0, serves the non-units).  The roots are mirrored:
+    e((lam - m) / lam) is stored as the conjugate of e(m / lam), and
+    e(1/2) as -1.0, so the row of conj(chi), at _conjugate_indices, is
+    bit for bit the conjugate of chi's row and real characters are exactly
+    real.  With one_per_pair only the rows with index <= conj(index) are
+    built, (phi(q) + #real) / 2 of them.  q is capped by
     CHARACTER_Q_CEILING, and the budget is checked at the 40 bytes per entry
-    that build_character_table peaks at.
+    that build_character_table peaks at, over all phi(q) rows either way.
     """
     if q < 1:
         raise ValueError(f"build_character_table: q must be >= 1, got {q}")
@@ -200,10 +217,13 @@ def _character_values(q: int) -> tuple[np.ndarray, np.ndarray]:
     # at 41 bytes a cell; 40 bounds both
     _check_budget(phi_q * q * 40, f"character table mod {q} ({phi_q}x{q} entries at 40 bytes)")
 
-    lam = math.lcm(*(order for order, _ in cycle_logs))
+    cycle_orders = [order for order, _ in cycle_logs]
+    lam = math.lcm(*cycle_orders)
     rem = np.arange(phi_q, dtype=np.int64)
-    exps = np.zeros((phi_q, q), dtype=np.int64)
-    orders = np.ones(phi_q, dtype=np.int64)
+    if one_per_pair:
+        rem = rem[rem <= _conjugate_indices(cycle_orders)]
+    exps = np.zeros((len(rem), q), dtype=np.int64)
+    orders = np.ones(len(rem), dtype=np.int64)
     for order, logs in cycle_logs:
         j = rem % order
         rem //= order
@@ -212,6 +232,9 @@ def _character_values(q: int) -> tuple[np.ndarray, np.ndarray]:
     exps %= lam
     exps[:, ~unit_mask] = lam
     roots = np.append(np.exp(2j * np.pi * np.arange(lam) / lam), 0.0)
+    roots[lam - 1 : lam // 2 : -1] = roots[1 : (lam + 1) // 2].conj()  # roots[lam - m] = conj(roots[m]), 0 < m < lam/2
+    if lam % 2 == 0:
+        roots[lam // 2] = -1.0
     values = roots[exps]
     del exps
     values.flags.writeable = False
@@ -428,12 +451,26 @@ class PvReport:
 
 
 def _diameter(points: np.ndarray) -> float:
-    """Exact max pairwise distance among complex points."""
+    """Exact max pairwise distance among complex points.
+
+    The hull runs on one orientation of the set: whichever of the sorted
+    points and their sorted mirror image (y -> -y) is lexicographically
+    smaller.  So a set and its mirror image give the same float, which
+    pv_check needs: Qhull's rounding is not symmetric under the mirror, and
+    mod 540 it kept a collinear edge point of a walk but not of its
+    conjugate, so the two diameters differed by an ulp.
+    """
     pts = np.unique(points)
     if len(pts) == 1:
         return 0.0
     if np.all(np.abs(pts.imag) < 1e-12):
         return float(np.max(pts.real) - np.min(pts.real))
+    mirror = np.unique(pts.conj())
+    differ = np.flatnonzero(pts != mirror)
+    if differ.size:
+        a, b = pts[differ[0]], mirror[differ[0]]
+        if (b.real, b.imag) < (a.real, a.imag):
+            pts = mirror
     xy = np.column_stack([pts.real, pts.imag])
     try:
         hull = xy[ConvexHull(xy).vertices]
@@ -451,7 +488,11 @@ def pv_check(q: int) -> PvReport:
     the walk's point set over one period.  All walks come from one cumsum
     over the value matrix of _character_values(q), which also gives the
     orders that mark the principal row; no conductors and no Character rows
-    are built.  D is bracketed before the exact hull runs:
+    are built.  Only one character of each conjugate pair is walked: the row
+    of conj(chi) is bit for bit the conjugate of chi's, so its walk is the
+    exact mirror image of chi's, with the same diameter, and the maximum
+    over one row per pair is the maximum over all rows.  D is bracketed
+    before the exact hull runs:
 
     - Bounding box: max(x range, y range) <= D <= the box diagonal.  Walks
       whose diagonal is below the largest lower end drop out (about 92% of
@@ -468,7 +509,7 @@ def pv_check(q: int) -> PvReport:
     """
     if q < 2:
         raise ValueError(f"pv_check: q must be >= 2, got {q}")
-    values, orders = _character_values(q)
+    values, orders = _character_values(q, one_per_pair=True)
     walks = np.cumsum(values, axis=1)  # chi(0) = 0: row = [0, S(1), ..., S(q-1)]
     del values
     live = np.flatnonzero(orders > 1)

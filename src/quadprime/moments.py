@@ -189,15 +189,18 @@ def _slots(chars: np.ndarray) -> np.ndarray:
 
 
 def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Digit slots for the errors.csv kernel, each indexed by value + size * flag.
+    """Digit slots (lead, last, trail, head) for the errors.csv kernel, each indexed by value + size * flag.
 
-    _LEAD: a 4-digit group g, then (flag set) g without leading zeros, empty for 0.
-    _LAST: the same, but "0" for 0 when flagged.
-    _TRAIL: g, then g without trailing zeros, empty for 0.
-    _HEAD: ".ddd" for 0 <= h < 1000, then the same without trailing zeros, empty
+    lead: a 4-digit group g, then (flag set) g without leading zeros, empty for 0.
+    last: the same, but "0" for 0 when flagged.
+    trail: g, then g without trailing zeros, empty for 0.
+    head: ".ddd" for 0 <= h < 1000, then the same without trailing zeros, empty
     (point included) for 0.
+
+    write_errors_csv builds them once per call (about 0.25 MB), so no other
+    command pays for them.
     """
-    g = np.arange(10_000, dtype=np.uint16)[:, None]  # small dtypes keep the import's peak memory low
+    g = np.arange(10_000, dtype=np.uint16)[:, None]  # small dtypes keep the build's peak memory low
     place = np.array([1000, 100, 10, 1], dtype=np.uint16)
     full = (g // place % 10 + ord("0")).astype(np.uint8)
     lead = np.where(g >= place, full, 0)
@@ -214,7 +217,6 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-_LEAD, _LAST, _TRAIL, _HEAD = _digit_tables()
 _COMMA, _COMMA_MINUS, _ZERO, _ONE, _CRLF = _slots(
     [list(c.ljust(4, b"\0")) for c in (b",", b",-", b",0", b",1", b"\r\n")]
 )
@@ -223,22 +225,24 @@ _FLOAT_SLOTS = 8  # ",-", three integer groups, ".ddd", three fraction groups
 _HALF_WINDOW = 2.5e-4
 
 
-def _put_int(out: np.ndarray, row: int, x: np.ndarray, groups: int) -> None:
+def _put_int(out: np.ndarray, row: int, x: np.ndarray, groups: int, digits: tuple[np.ndarray, ...]) -> None:
     """Write integer-valued x, 0 <= x < 10^(4 groups), into out[row : row + groups].
 
     Leading zeros are dropped and x = 0 is written "0".  Each group is an exact
-    floor division of x < 2^53 by a power of 10^4.
+    floor division of x < 2^53 by a power of 10^4.  digits are the tables of
+    _digit_tables.
     """
+    lead, last = digits[:2]
     r = x
     for i in range(groups):
         place = 1e4 ** (groups - 1 - i)
         q = np.floor(r / place)
         r = r - q * place
-        table = _LAST if i == groups - 1 else _LEAD
+        table = last if i == groups - 1 else lead
         out[row + i] = table[(q + 1e4 * (x < 1e4 * place)).astype(np.intp)]
 
 
-def _put_floats(out: np.ndarray, row: int, v: np.ndarray) -> None:
+def _put_floats(out: np.ndarray, row: int, v: np.ndarray, digits: tuple[np.ndarray, ...]) -> None:
     """Write "," + format(v, ".12g") for each v into out[row : row + _FLOAT_SLOTS].
 
     A value a = |v| in [1e-4, 1e11) with e = floor(log10 a) prints in fixed
@@ -261,6 +265,7 @@ def _put_floats(out: np.ndarray, row: int, v: np.ndarray) -> None:
     and 10^j is printed, as format() prints it, since a 12-digit rounding
     step is 10^-12.
     """
+    trail, head = digits[2:]
     a = np.abs(v)
     fast = (a >= 1e-4) & (a < 1e11)
     a = np.where(fast, a, 1.0)
@@ -272,17 +277,17 @@ def _put_floats(out: np.ndarray, row: int, v: np.ndarray) -> None:
     ipart = np.floor(n / p)
     frac = (n - ipart * p) * _POW10[4 + e]  # left-aligned to 15 digits
     out[row] = np.where(v < 0, _COMMA_MINUS, _COMMA)
-    _put_int(out, row + 1, ipart, 3)
+    _put_int(out, row + 1, ipart, 3, digits)
     h = np.floor(frac / 1e12)
     r12 = frac - h * 1e12
     f1 = np.floor(r12 / 1e8)
     r8 = r12 - f1 * 1e8
     f2 = np.floor(r8 / 1e4)
     f3 = r8 - f2 * 1e4
-    out[row + 4] = _HEAD[(h + 1000 * (r12 == 0)).astype(np.intp)]
-    out[row + 5] = _TRAIL[(f1 + 1e4 * (r8 == 0)).astype(np.intp)]
-    out[row + 6] = _TRAIL[(f2 + 1e4 * (f3 == 0)).astype(np.intp)]
-    out[row + 7] = _TRAIL[(f3 + 1e4).astype(np.intp)]
+    out[row + 4] = head[(h + 1000 * (r12 == 0)).astype(np.intp)]
+    out[row + 5] = trail[(f1 + 1e4 * (r8 == 0)).astype(np.intp)]
+    out[row + 6] = trail[(f2 + 1e4 * (f3 == 0)).astype(np.intp)]
+    out[row + 7] = trail[(f3 + 1e4).astype(np.intp)]
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = b"".join(("," + _fmt(x)).encode().ljust(4 * _FLOAT_SLOTS, b"\0") for x in v[slow].tolist())
@@ -302,15 +307,16 @@ def write_errors_csv(result: SweepResult, path: str) -> None:
     """
     y = result.summary.y
     k_groups = (len(str(y)) + 3) // 4
+    digits = _digit_tables()
     with open(path, "wb") as fh:
         fh.write(b"k,squarefree,psi,singular,error\r\n")
         for lo in range(1, y + 1, _CSV_BLOCK):
             hi = min(lo + _CSV_BLOCK, y + 1)
             out = np.empty((k_groups + 2 + 3 * _FLOAT_SLOTS, hi - lo), dtype=np.uint32)
-            _put_int(out, 0, np.arange(lo, hi, dtype=np.float64), k_groups)
+            _put_int(out, 0, np.arange(lo, hi, dtype=np.float64), k_groups, digits)
             out[k_groups] = np.where(result.squarefree[lo:hi], _ONE, _ZERO)
             for j, col in enumerate((result.psi, result.singular, result.error)):
-                _put_floats(out, k_groups + 1 + j * _FLOAT_SLOTS, col[lo:hi])
+                _put_floats(out, k_groups + 1 + j * _FLOAT_SLOTS, col[lo:hi], digits)
             out[-1] = _CRLF
             fh.write(out.T.tobytes().translate(None, b"\0"))
 

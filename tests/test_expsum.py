@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 
 from quadprime import expsum
 from quadprime.arith import divisors, mobius_phi
+from quadprime.cli import check_pv
 from quadprime.expsum import (
     ArcPoint,
     Character,
     _cached_character_table,
+    _character_values,
+    _conjugate_indices,
     _diameter,
     _unit_cycles,
     build_character_table,
@@ -82,6 +85,11 @@ def per_character_table(q):
     cycle_orders = [order for order, _ in cycle_logs]
     lam = math.lcm(*cycle_orders)
     roots = np.exp(2j * np.pi * np.arange(lam) / lam)
+    for m in range(1, lam):
+        if 2 * m > lam:
+            roots[m] = roots[lam - m].conjugate()
+        elif 2 * m == lam:
+            roots[m] = -1.0
     n = np.arange(q, dtype=np.int64)
     div_masks = [(d, unit_mask & (n % d == 1 % d)) for d in divisors(q)]
     for index in range(math.prod(cycle_orders)):
@@ -517,6 +525,58 @@ def test_pv_pruned_max_equals_exhaustive_diameter():
 @example(q=1155)
 def test_pv_pruned_max_equals_exhaustive_diameter_large_q(q):
     assert pv_check(q).max_sum == exhaustive_max_sum(q)
+
+
+def cycle_orders(q):
+    return [order for order, _ in _unit_cycles(q)[0]]
+
+
+def assert_rows_are_conjugate_symmetric(q):
+    tab = build_character_table(q)
+    conj = _conjugate_indices(cycle_orders(q))
+    for ch in tab.chars:
+        assert np.array_equal(tab.values[conj[ch.index]], ch.values.conj()), (q, ch.index)
+        if ch.order <= 2:
+            assert np.all(ch.values.imag == 0.0), (q, ch.index)
+
+
+def test_conjugate_rows_are_exact_mirrors():
+    for q in range(1, 301):
+        assert_rows_are_conjugate_symmetric(q)
+
+
+@settings(max_examples=8, deadline=None)
+@given(q=st.integers(min_value=301, max_value=3000))
+@example(q=2048)
+@example(q=2310)
+def test_conjugate_rows_are_exact_mirrors_large_q(q):
+    assert_rows_are_conjugate_symmetric(q)
+
+
+def test_pair_representatives_cover_every_index_once():
+    for q in range(1, 301):
+        conj = _conjugate_indices(cycle_orders(q))
+        phi, index = len(conj), np.arange(len(conj))
+        reals = int(np.count_nonzero(conj == index))
+        reps = np.flatnonzero(index <= conj)
+        assert len(reps) * 2 == phi + reals, q
+        covered = np.concatenate([reps, conj[reps][conj[reps] != reps]])
+        assert np.array_equal(np.sort(covered), index), q
+        assert np.array_equal(conj[conj], index), q
+        orders = _character_values(q, one_per_pair=True)[1]
+        assert int(np.count_nonzero(orders <= 2)) == reals == sum(ch.is_real for ch in build_character_table(q).chars), q
+
+
+@pytest.mark.parametrize("q", [31, 43, 244, 540])  # moduli where a bare Qhull diameter is not mirror-symmetric
+def test_diameter_is_the_same_for_a_walk_and_its_mirror(q):
+    for walk in np.cumsum(build_character_table(q).values, axis=1):
+        assert _diameter(walk) == _diameter(walk.conj()), q
+    assert pv_check(q).max_sum == exhaustive_max_sum(q)
+
+
+def test_check_pv_stdout_is_pinned(capsys):
+    assert check_pv(120)
+    assert capsys.readouterr().out == "pv: q <= 120, tightest at q=5 (ratio 0.093) -> ok\n"
 
 
 def test_pv_check_leaves_the_table_cache_as_it_was():
