@@ -564,7 +564,8 @@ def test_pair_representatives_cover_every_index_once():
         assert np.array_equal(np.sort(covered), index), q
         assert np.array_equal(conj[conj], index), q
         orders = _character_values(q, one_per_pair=True)[1]
-        assert int(np.count_nonzero(orders <= 2)) == reals == sum(ch.is_real for ch in build_character_table(q).chars), q
+        real_chars = sum(ch.is_real for ch in build_character_table(q).chars)
+        assert len(orders) == len(reps) and np.count_nonzero(orders <= 2) == reals == real_chars, q
 
 
 @pytest.mark.parametrize("q", [31, 43, 244, 540])  # moduli where a bare Qhull diameter is not mirror-symmetric
