@@ -22,6 +22,7 @@ from .arith import mobius_phi
 from .errors import VerificationError
 from .expsum import (
     ArcPoint,
+    _pv_bound,
     _tau_bars,
     build_character_table,
     circle_psi_oracle,
@@ -182,12 +183,22 @@ def check_weyl(seed: int) -> tuple[float, bool]:
 
 
 def check_pv(q_max: int) -> bool:
+    """Print the q <= q_max whose walks break 6 sqrt(q) log q, then the tightest q and its ratio.
+
+    q runs upwards under a running floor, min(worst ratio so far, 1) times
+    the bound of q: pv_check returns None for a q whose every walk is
+    shorter than that, and such a q passes and is not the tightest (that
+    takes a strictly larger ratio), so it is skipped before any exact
+    diameter.  The output is that of taking pv_check(q) for every q.
+    """
     if q_max < 2:
         raise ValueError(f"check pv: --qmax must be >= 2, got {q_max}")
     worst_q, worst_excess = 0, 0.0
     ok = True
     for q in range(2, q_max + 1):
-        rep = pv_check(q)
+        rep = pv_check(q, min(worst_excess, 1.0) * _pv_bound(q))
+        if rep is None:
+            continue
         if not rep.passed:
             ok = False
             print(f"pv: q={q} max window sum {rep.max_sum:.3f} exceeds bound {rep.bound:.3f}")

@@ -201,8 +201,9 @@ def _character_values(q: int, one_per_pair: bool = False) -> tuple[np.ndarray, n
     bit for bit the conjugate of chi's row and real characters are exactly
     real.  With one_per_pair only the rows with index <= conj(index) are
     built, (phi(q) + #real) / 2 of them.  q is capped by
-    CHARACTER_Q_CEILING, and the budget is checked at the 40 bytes per entry
-    that build_character_table peaks at, over all phi(q) rows either way.
+    CHARACTER_Q_CEILING, and the budget is checked over the rows built, at
+    the peak bytes per entry of the route: 40 for build_character_table, 33
+    for pv_check.
     """
     if q < 1:
         raise ValueError(f"build_character_table: q must be >= 1, got {q}")
@@ -210,18 +211,21 @@ def _character_values(q: int, one_per_pair: bool = False) -> tuple[np.ndarray, n
         raise ValueError(f"build_character_table: q = {q} over the ceiling {CHARACTER_Q_CEILING}")
 
     cycle_logs, unit_mask = _unit_cycles(q)
-    phi_q = math.prod(order for order, _ in cycle_logs)
-    # peak bytes per entry: 24 here (the int64 exponents beside the gathered
-    # values; tracemalloc measured 24 at q = 499 and 997), then in
-    # build_character_table 16 plus a conductor block of <= q/2 columns (d > 1)
-    # at 41 bytes a cell; 40 bounds both
-    _check_budget(phi_q * q * 40, f"character table mod {q} ({phi_q}x{q} entries at 40 bytes)")
-
     cycle_orders = [order for order, _ in cycle_logs]
-    lam = math.lcm(*cycle_orders)
-    rem = np.arange(phi_q, dtype=np.int64)
+    rem = np.arange(math.prod(cycle_orders), dtype=np.int64)
     if one_per_pair:
         rem = rem[rem <= _conjugate_indices(cycle_orders)]
+    # peak bytes per entry: 24 here (the int64 exponents beside the gathered
+    # values; tracemalloc measured 24 at q = 499 and 997).  build_character_table
+    # then holds 16 plus a conductor block of <= q/2 columns (d > 1) at 41 bytes
+    # a cell, and 40 bounds both.  pv_check holds the values and their walks,
+    # 32, beside O(q) index arrays: tracemalloc measured 32.0 to 32.02 per built
+    # entry at q = 499 to 2310, and 33 bounded every q from 300 to 1100.  Below
+    # q = 300 the hull's pairwise block in _diameter (under 90 kB) can exceed it
+    per_entry = 33 if one_per_pair else 40
+    _check_budget(len(rem) * q * per_entry, f"character table mod {q} ({len(rem)}x{q} entries at {per_entry} bytes)")
+
+    lam = math.lcm(*cycle_orders)
     exps = np.zeros((len(rem), q), dtype=np.int64)
     orders = np.ones(len(rem), dtype=np.int64)
     for order, logs in cycle_logs:
@@ -480,8 +484,13 @@ def _diameter(points: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(diff * diff, axis=-1))))
 
 
-def pv_check(q: int) -> PvReport:
-    """Largest |sum of chi(n) over a window| vs the 6 sqrt(q) log q bound.
+def _pv_bound(q: int) -> float:
+    """The Polya-Vinogradov bound 6 sqrt(q) log q that check pv tests against."""
+    return 6.0 * math.sqrt(q) * math.log(q)
+
+
+def pv_check(q: int, floor: float = 0.0) -> PvReport | None:
+    """Largest |sum of chi(n) over a window| vs the 6 sqrt(q) log q bound, or None below floor.
 
     For non-principal chi mod q the partial-sum walk is periodic, so the
     supremum over every window M < n <= M + N (N <= q) is the diameter D of
@@ -495,17 +504,19 @@ def pv_check(q: int) -> PvReport:
     before the exact hull runs:
 
     - Bounding box: max(x range, y range) <= D <= the box diagonal.  Walks
-      whose diagonal is below the largest lower end drop out (about 92% of
-      them for q <= 500).
+      whose diagonal is below max(floor, the largest lower end) drop out
+      (about 92% of them for q <= 500 at floor 0).
     - K = _PV_DIRECTIONS directions spread over half a turn: no projection
       is longer than D, and the diameter segment lies within pi/2K of one
       of them, so width <= D <= width / cos(pi/2K), width being the largest
       projected width.  One direction is projected at a time.
 
     The exact diameter then runs in decreasing order of the upper end and
-    stops once it falls below the best exact D.  Every walk left out is
-    strictly shorter than the best (_PV_MARGIN covers float rounding of the
-    brackets), so max_sum is the same float the exhaustive scan gives.
+    stops once it falls below max(floor, the best exact D).  Every walk left
+    out is strictly shorter than that (_PV_MARGIN covers float rounding of
+    the brackets).  So if the best exact D reaches floor, max_sum is the
+    same float the exhaustive scan gives; otherwise every walk is shorter
+    than floor and the result is None.  floor = 0.0 always gives the report.
     """
     if q < 2:
         raise ValueError(f"pv_check: q must be >= 2, got {q}")
@@ -514,7 +525,8 @@ def pv_check(q: int) -> PvReport:
     del values
     live = np.flatnonzero(orders > 1)
     xr, yr = np.ptp(walks.real[live], axis=1), np.ptp(walks.imag[live], axis=1)
-    live = live[np.hypot(xr, yr) * (1.0 + _PV_MARGIN) >= np.maximum(xr, yr).max(initial=0.0)]
+    lower = max(np.maximum(xr, yr).max(initial=0.0), floor)
+    live = live[np.hypot(xr, yr) * (1.0 + _PV_MARGIN) >= lower]
     x, y, width = walks.real[live], walks.imag[live], np.zeros(len(live))
     for k in range(_PV_DIRECTIONS):
         t = math.pi * k / _PV_DIRECTIONS
@@ -523,8 +535,10 @@ def pv_check(q: int) -> PvReport:
     upper = width / math.cos(math.pi / (2 * _PV_DIRECTIONS))
     max_sum = 0.0
     for i in np.argsort(-upper, kind="stable"):
-        if upper[i] * (1.0 + _PV_MARGIN) < max_sum:
+        if upper[i] * (1.0 + _PV_MARGIN) < max(floor, max_sum):
             break
         max_sum = max(max_sum, _diameter(walks[live[i]]))
-    bound = 6.0 * math.sqrt(q) * math.log(q)
+    if max_sum < floor:
+        return None
+    bound = _pv_bound(q)
     return PvReport(q=q, max_sum=max_sum, bound=bound, passed=max_sum <= bound)

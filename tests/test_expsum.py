@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadprime import expsum
+from quadprime import cli, expsum
 from quadprime.arith import divisors, mobius_phi
 from quadprime.cli import check_pv
 from quadprime.expsum import (
@@ -342,18 +342,34 @@ def test_character_table_budget_counts_the_build_peak(monkeypatch):
 
 
 def test_pv_check_budget_counts_the_table_peak(monkeypatch):
-    q = 499  # prime: phi = 498
-    entries = 498 * q
-    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(24 * entries))  # the measured peak, not the 40 counted
+    q = 499  # prime: phi = 498, 2 real characters, so (498 + 2) / 2 rows are built
+    built = 250 * q
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(33 * built - 1))
     tracemalloc.start()
     try:
         with pytest.raises(MemoryError, match="character table mod 499"):
             pv_check(q)
-        assert tracemalloc.get_traced_memory()[1] < 8 * entries  # refused before the value matrix
+        assert tracemalloc.get_traced_memory()[1] < 8 * built  # refused before the value matrix
     finally:
         tracemalloc.stop()
-    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(40 * entries))
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(33 * built))
     assert pv_check(q).passed
+
+
+@pytest.mark.parametrize("q", [499, 840, 997, 1024])
+def test_pv_check_peak_fits_its_budget_count(q, monkeypatch):
+    counted = []
+    monkeypatch.setattr(expsum, "_check_budget", lambda nbytes, what: counted.append(nbytes))
+    tracemalloc.start()
+    try:
+        pv_check(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    conj = _conjugate_indices(cycle_orders(q))
+    built = int(np.count_nonzero(np.arange(len(conj)) <= conj))
+    assert counted == [33 * built * q]
+    assert peak <= counted[0]
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +594,64 @@ def test_diameter_is_the_same_for_a_walk_and_its_mirror(q):
 def test_check_pv_stdout_is_pinned(capsys):
     assert check_pv(120)
     assert capsys.readouterr().out == "pv: q <= 120, tightest at q=5 (ratio 0.093) -> ok\n"
+
+
+@pytest.mark.parametrize("q_max", [300, 500])  # the bench size and the CLI default
+def test_check_pv_stdout_is_pinned_at_the_bench_and_default_sizes(q_max, capsys):
+    assert check_pv(q_max)
+    assert capsys.readouterr().out == f"pv: q <= {q_max}, tightest at q=5 (ratio 0.093) -> ok\n"
+
+
+def check_pv_every_q(q_max):
+    """check_pv without the running floor: the full report of every q, printed the same way."""
+    worst_q, worst_excess = 0, 0.0
+    ok = True
+    for q in range(2, q_max + 1):
+        rep = pv_check(q)
+        if not rep.passed:
+            ok = False
+            print(f"pv: q={q} max window sum {rep.max_sum:.3f} exceeds bound {rep.bound:.3f}")
+        excess = rep.max_sum / rep.bound
+        if excess > worst_excess:
+            worst_q, worst_excess = q, excess
+    print(f"pv: q <= {q_max}, tightest at q={worst_q} (ratio {worst_excess:.3f}) -> {'ok' if ok else 'FAIL'}")
+    return ok
+
+
+@pytest.mark.parametrize("q_max", [2, 3, 4, 5, 120, 300])
+def test_check_pv_equals_the_report_of_every_q(q_max, capsys):
+    ok = check_pv(q_max)
+    out = capsys.readouterr().out
+    ok_every_q = check_pv_every_q(q_max)
+    assert (out, ok) == (capsys.readouterr().out, ok_every_q)
+
+
+def test_check_pv_prints_every_failure_of_a_smaller_bound(monkeypatch, capsys):
+    def small_bound(q):  # a twentieth of 6 sqrt(q) log q: q = 5 reaches ratio 1.85
+        return 0.3 * math.sqrt(q) * math.log(q)
+
+    monkeypatch.setattr(expsum, "_pv_bound", small_bound)
+    monkeypatch.setattr(cli, "_pv_bound", small_bound)
+    ok = check_pv(120)
+    out = capsys.readouterr().out
+    ok_every_q = check_pv_every_q(120)
+    assert (out, ok) == (capsys.readouterr().out, ok_every_q)
+    assert not ok and out.count("exceeds bound") > 10
+
+
+def test_check_pv_runs_an_exact_diameter_only_where_the_verdict_depends_on_it(monkeypatch):
+    calls = []
+    monkeypatch.setattr(expsum, "_diameter", lambda points: calls.append(1) or _diameter(points))
+    assert check_pv(300)
+    assert len(calls) <= 3  # q = 3 and q = 5; pv_check(q) for every q makes 397
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 12, 97, 244, 540])
+def test_pv_check_floor_is_inclusive(q):
+    rep = pv_check(q)
+    assert pv_check(q, rep.max_sum) == rep
+    assert pv_check(q, 0.5 * rep.max_sum) == rep
+    assert pv_check(q, float(np.nextafter(rep.max_sum, np.inf))) is None
 
 
 def test_pv_check_leaves_the_table_cache_as_it_was():
