@@ -187,62 +187,90 @@ def _conjugate_indices(cycle_orders: list[int]) -> np.ndarray:
     return conj
 
 
-def _character_values(q: int, one_per_pair: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only phi(q) x q value matrix of the characters mod q, and their orders.
+def _pair_representatives(cycle_orders: list[int]) -> np.ndarray:
+    """The character indices with index <= conj(index): one of each conjugate pair, (phi(q) + #real) / 2 of them."""
+    index = np.arange(math.prod(cycle_orders), dtype=np.int64)
+    return index[index <= _conjugate_indices(cycle_orders)]
 
-    A character is a choice of exponent on each cycle of _unit_cycles(q);
-    character `index` takes the mixed-radix digits j_c of index as exponents.
-    With lam the lcm of the cycle orders o_c, chi(n) = e(m / lam) on the
-    units, where m = sum_c j_c log_c(n) (lam / o_c) mod lam is exact integer
-    arithmetic; every value is then one gather from the lam-th roots of unity
-    (one more slot, 0, serves the non-units).  The roots are mirrored:
-    e((lam - m) / lam) is stored as the conjugate of e(m / lam), and
-    e(1/2) as -1.0, so the row of conj(chi), at _conjugate_indices, is
-    bit for bit the conjugate of chi's row and real characters are exactly
-    real.  With one_per_pair only the rows with index <= conj(index) are
-    built, (phi(q) + #real) / 2 of them.  q is capped by
-    CHARACTER_Q_CEILING, and the budget is checked over the rows built, at
-    the peak bytes per entry of the route: 40 for build_character_table, 33
-    for pv_check.
-    """
-    if q < 1:
-        raise ValueError(f"build_character_table: q must be >= 1, got {q}")
-    if q > CHARACTER_Q_CEILING:
-        raise ValueError(f"build_character_table: q = {q} over the ceiling {CHARACTER_Q_CEILING}")
 
-    cycle_logs, unit_mask = _unit_cycles(q)
-    cycle_orders = [order for order, _ in cycle_logs]
-    rem = np.arange(math.prod(cycle_orders), dtype=np.int64)
-    if one_per_pair:
-        rem = rem[rem <= _conjugate_indices(cycle_orders)]
-    # peak bytes per entry: 24 here (the int64 exponents beside the gathered
-    # values; tracemalloc measured 24 at q = 499 and 997).  build_character_table
-    # then holds 16 plus a conductor block of <= q/2 columns (d > 1) at 41 bytes
-    # a cell, and 40 bounds both.  pv_check holds the values and their walks,
-    # 32, beside O(q) index arrays: tracemalloc measured 32.0 to 32.02 per built
-    # entry at q = 499 to 2310, and 33 bounded every q from 300 to 1100.  Below
-    # q = 300 the hull's pairwise block in _diameter (under 90 kB) can exceed it
-    per_entry = 33 if one_per_pair else 40
-    _check_budget(len(rem) * q * per_entry, f"character table mod {q} ({len(rem)}x{q} entries at {per_entry} bytes)")
-
-    lam = math.lcm(*cycle_orders)
-    exps = np.zeros((len(rem), q), dtype=np.int64)
-    orders = np.ones(len(rem), dtype=np.int64)
-    for order, logs in cycle_logs:
+def _character_orders(cycle_orders: list[int], index: np.ndarray) -> np.ndarray:
+    """The order of each character of `index`: the lcm over the cycles of o_c / gcd(o_c, j_c)."""
+    rem = index.copy()
+    orders = np.ones(len(index), dtype=np.int64)
+    for order in cycle_orders:
         j = rem % order
         rem //= order
-        exps += np.multiply.outer(j, logs * (lam // order))
         orders = np.lcm(orders, order // np.gcd(order, j))
+    return orders
+
+
+def _character_exponents(cycle_logs: list[tuple[int, np.ndarray]], index: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """m = sum_c j_c log_c(n) (lam / o_c) mod lam for each character of `index` (rows) at each n of `cols`.
+
+    lam is the lcm of the cycle orders o_c, and j_c are the mixed-radix digits
+    of the index.  On a unit n, chi(n) = e(m / lam); the logs, and so m, mean
+    nothing at a non-unit.
+    """
+    lam = math.lcm(*(order for order, _ in cycle_logs))
+    rem = index.copy()
+    exps = np.zeros((len(index), len(cols)), dtype=np.int64)
+    for order, logs in cycle_logs:
+        exps += np.multiply.outer(rem % order, logs[cols] * (lam // order))
+        rem //= order
     exps %= lam
-    exps[:, ~unit_mask] = lam
+    return exps
+
+
+def _mirrored_roots(lam: int) -> np.ndarray:
+    """e(m / lam) for m = 0..lam-1, then a 0.0 slot at m = lam.
+
+    e((lam - m) / lam) is stored as the conjugate of e(m / lam) and e(1/2)
+    as -1.0, so a gather at -m mod lam is bit for bit the conjugate of the
+    gather at m, and a gather at m in {0, lam/2} is exactly real.
+    """
     roots = np.append(np.exp(2j * np.pi * np.arange(lam) / lam), 0.0)
     roots[lam - 1 : lam // 2 : -1] = roots[1 : (lam + 1) // 2].conj()  # roots[lam - m] = conj(roots[m]), 0 < m < lam/2
     if lam % 2 == 0:
         roots[lam // 2] = -1.0
-    values = roots[exps]
+    return roots
+
+
+def _check_modulus(q: int, what: str) -> None:
+    if q > CHARACTER_Q_CEILING:
+        raise ValueError(f"{what}: q = {q} over the ceiling {CHARACTER_Q_CEILING}")
+
+
+def _character_values(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only phi(q) x q value matrix of the characters mod q, and their orders.
+
+    A character is a choice of exponent on each cycle of _unit_cycles(q);
+    character `index` takes the mixed-radix digits j_c of index as exponents,
+    and its value at a unit n is one gather of _character_exponents from
+    _mirrored_roots (its 0.0 slot serves the non-units).  So the row of
+    conj(chi), at _conjugate_indices, is bit for bit the conjugate of chi's
+    row, and real characters are exactly real.  q is capped by
+    CHARACTER_Q_CEILING, and the budget is checked at 40 bytes per entry.
+    """
+    if q < 1:
+        raise ValueError(f"build_character_table: q must be >= 1, got {q}")
+    _check_modulus(q, "build_character_table")
+
+    cycle_logs, unit_mask = _unit_cycles(q)
+    cycle_orders = [order for order, _ in cycle_logs]
+    index = np.arange(math.prod(cycle_orders), dtype=np.int64)
+    # peak bytes per entry: 24 here (the int64 exponents beside the gathered
+    # values; tracemalloc measured 24 at q = 499 and 997).  build_character_table
+    # then holds 16 plus a conductor block of <= q/2 columns (d > 1) at 41 bytes
+    # a cell, and 40 bounds both
+    _check_budget(len(index) * q * 40, f"character table mod {q} ({len(index)}x{q} entries at 40 bytes)")
+
+    exps = _character_exponents(cycle_logs, index, np.arange(q))
+    lam = math.lcm(*cycle_orders)
+    exps[:, ~unit_mask] = lam
+    values = _mirrored_roots(lam)[exps]
     del exps
     values.flags.writeable = False
-    return values, orders
+    return values, _character_orders(cycle_orders, index)
 
 
 def build_character_table(q: int) -> CharacterTable:
@@ -489,19 +517,51 @@ def _pv_bound(q: int) -> float:
     return 6.0 * math.sqrt(q) * math.log(q)
 
 
+def _unit_walks(cycle_logs: list[tuple[int, np.ndarray]], index: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """The running sums chi(u_1), chi(u_1) + chi(u_2), ... over ascending units u_i, a row per character of `index`.
+
+    Each value is the gather of _character_values and the sums are taken in
+    the same order, so the row is the floats that the full row's cumsum takes
+    at those units.
+    """
+    walks = _mirrored_roots(math.lcm(*(order for order, _ in cycle_logs)))[_character_exponents(cycle_logs, index, units)]
+    return np.cumsum(walks, axis=1, out=walks)
+
+
+def _half_walks(cycle_logs: list[tuple[int, np.ndarray]], unit_mask: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_unit_walks over the units u < q/2 for each character of `index`, and whether each is even (chi(-1) = 1)."""
+    q = len(unit_mask)
+    units = np.flatnonzero(unit_mask)
+    even = _character_exponents(cycle_logs, index, np.array([q - 1]))[:, 0] == 0  # chi(-1) = e(m / lam) is 1 or -1
+    return _unit_walks(cycle_logs, index, units[2 * units < q]), even
+
+
+def _extent(v: np.ndarray, even: np.ndarray) -> np.ndarray:
+    """max - min over the last axis of v together with 0 and the image of v: -v where even, v itself elsewhere."""
+    hi, lo = v.max(axis=-1, initial=0.0), v.min(axis=-1, initial=0.0)
+    return np.where(even, 2.0 * np.maximum(hi, -lo), hi - lo)
+
+
 def pv_check(q: int, floor: float = 0.0) -> PvReport | None:
     """Largest |sum of chi(n) over a window| vs the 6 sqrt(q) log q bound, or None below floor.
 
-    For non-principal chi mod q the partial-sum walk is periodic, so the
-    supremum over every window M < n <= M + N (N <= q) is the diameter D of
-    the walk's point set over one period.  All walks come from one cumsum
-    over the value matrix of _character_values(q), which also gives the
-    orders that mark the principal row; no conductors and no Character rows
-    are built.  Only one character of each conjugate pair is walked: the row
-    of conj(chi) is bit for bit the conjugate of chi's, so its walk is the
-    exact mirror image of chi's, with the same diameter, and the maximum
-    over one row per pair is the maximum over all rows.  D is bracketed
-    before the exact hull runs:
+    For non-principal chi mod q the partial-sum walk S(n) = chi(0) + ... +
+    chi(n) is periodic, so the supremum over every window M < n <= M + N
+    (N <= q) is the diameter D of the walk's point set over one period,
+    n = 0..q-1.  Only one character of each conjugate pair is walked: the
+    row of conj(chi) is the exact conjugate of chi's (_mirrored_roots), so
+    its walk is the mirror image of chi's, with the same diameter.
+
+    Half of each walk gives the rest.  S(q-1) = 0 and chi(q-m) = chi(-1) chi(m), so
+
+        S(q-1-n) = S(q-1) - sum_{m=1..n} chi(q-m) = -chi(-1) S(n):
+
+    the second half of an odd walk retraces the first, and that of an even
+    walk is its point reflection through 0.  Every n in 0..q-1 is n or
+    q-1-n for some n < q/2, and S moves only at units.  So the point set is
+    0, the half walk H (S at the units u < q/2, _unit_walks) and its image:
+    H itself for odd chi, -H for even chi.  D is bracketed from that set
+    (_extent), without building the second half:
 
     - Bounding box: max(x range, y range) <= D <= the box diagonal.  Walks
       whose diagonal is below max(floor, the largest lower end) drop out
@@ -509,35 +569,59 @@ def pv_check(q: int, floor: float = 0.0) -> PvReport | None:
     - K = _PV_DIRECTIONS directions spread over half a turn: no projection
       is longer than D, and the diameter segment lies within pi/2K of one
       of them, so width <= D <= width / cos(pi/2K), width being the largest
-      projected width.  One direction is projected at a time.
+      projected width.
 
     The exact diameter then runs in decreasing order of the upper end and
-    stops once it falls below max(floor, the best exact D).  Every walk left
-    out is strictly shorter than that (_PV_MARGIN covers float rounding of
-    the brackets).  So if the best exact D reaches floor, max_sum is the
-    same float the exhaustive scan gives; otherwise every walk is shorter
-    than floor and the result is None.  floor = 0.0 always gives the report.
+    stops once the upper end falls below max(floor, the best exact D).  It
+    runs on the full-period walk over all units, from the same exponents
+    and roots: those are the floats of the cumsum over the whole row (a
+    non-unit adds an exact 0, and _diameter drops repeats), so max_sum is
+    the float the exhaustive scan gives.
+
+    The image of H is not the float cumsum of the second half, only close
+    to it.  A computed S(n) is within about n 2^-53 max|S| <= q 2^-53 D of
+    the exact sum of its float terms (0 is a point of the walk, so
+    |S| <= D), and the float roots keep chi(q-m) = chi(-1) chi(m) and
+    S(q-1) = 0 to an ulp a term.  So each bracket is off by a few q 2^-53 D,
+    about 1e-12 D at q = CHARACTER_Q_CEILING, and _PV_MARGIN (1e-9
+    relative) covers it: no walk that could carry the maximum is pruned.
+    If the best exact D reaches floor the report is returned; otherwise
+    every walk is shorter than floor and the result is None.  floor = 0.0
+    always gives the report.
     """
     if q < 2:
         raise ValueError(f"pv_check: q must be >= 2, got {q}")
-    values, orders = _character_values(q, one_per_pair=True)
-    walks = np.cumsum(values, axis=1)  # chi(0) = 0: row = [0, S(1), ..., S(q-1)]
-    del values
-    live = np.flatnonzero(orders > 1)
-    xr, yr = np.ptp(walks.real[live], axis=1), np.ptp(walks.imag[live], axis=1)
+    _check_modulus(q, "pv_check")
+    cycle_logs, unit_mask = _unit_cycles(q)
+    cycle_orders = [order for order, _ in cycle_logs]
+    index = _pair_representatives(cycle_orders)
+    # 33 bytes per entry of the pair-representative rows over all q columns,
+    # the count of the route that walked whole rows.  The half walks peak at
+    # about 40 bytes per unit u < q/2 and row (the exponents, then the walks
+    # beside a block of projections), at most 20 per entry: tracemalloc
+    # measured 2.6 to 15.1 bytes per entry at q = 499 to 2310
+    _check_budget(len(index) * q * 33, f"character table mod {q} ({len(index)}x{q} entries at 33 bytes)")
+    index = index[1:]  # index 0, every exponent 0, is the principal character, which is not walked
+    walks, even = _half_walks(cycle_logs, unit_mask, index)
+    xr, yr = _extent(walks.real, even), _extent(walks.imag, even)
     lower = max(np.maximum(xr, yr).max(initial=0.0), floor)
-    live = live[np.hypot(xr, yr) * (1.0 + _PV_MARGIN) >= lower]
-    x, y, width = walks.real[live], walks.imag[live], np.zeros(len(live))
-    for k in range(_PV_DIRECTIONS):
-        t = math.pi * k / _PV_DIRECTIONS
-        proj = x * math.cos(t) + y * math.sin(t)
-        np.maximum(width, proj.max(axis=1) - proj.min(axis=1), out=width)
+    live = np.flatnonzero(np.hypot(xr, yr) * (1.0 + _PV_MARGIN) >= lower)
+    t = np.pi * np.arange(_PV_DIRECTIONS) / _PV_DIRECTIONS
+    cos, sin = np.cos(t)[:, None], np.sin(t)[:, None]
+    width = np.empty(len(live))
+    step = max(1, len(index) // _PV_DIRECTIONS)  # so a block of projections is no larger than the walks
+    for lo in range(0, len(live), step):
+        rows = live[lo : lo + step]
+        proj = walks.real[rows, None] * cos + walks.imag[rows, None] * sin
+        width[lo : lo + step] = _extent(proj, even[rows, None]).max(axis=1)
     upper = width / math.cos(math.pi / (2 * _PV_DIRECTIONS))
+    units = np.flatnonzero(unit_mask)
     max_sum = 0.0
     for i in np.argsort(-upper, kind="stable"):
         if upper[i] * (1.0 + _PV_MARGIN) < max(floor, max_sum):
             break
-        max_sum = max(max_sum, _diameter(walks[live[i]]))
+        walk = _unit_walks(cycle_logs, index[live[i] : live[i] + 1], units)[0]
+        max_sum = max(max_sum, _diameter(np.append(0.0, walk)))
     if max_sum < floor:
         return None
     bound = _pv_bound(q)

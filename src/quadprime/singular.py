@@ -188,37 +188,106 @@ def _sl_factor(p, chi):
 
 
 _ROW_WIDTH = 1 << 13  # factor rows of p below this are repeated to at least this many entries
+_EULER_RATIO = 32  # primes p > _EULER_RATIO (y + 1) take Euler's criterion in _bulk_product
+_EULER_P_MAX = math.isqrt(2**63 - 1)  # so the products of residues mod p stay in int64
 
 
 def _bulk_product(y: int, cutoff: int, factor) -> np.ndarray:
     """prod of factor(p, chi_k(p)) over odd p <= cutoff for every k = 0..y (index 0 set to 0).
 
-    chi_k(p) = (-k/p) is periodic mod p and +1 exactly at k = p - (r^2 mod p),
-    0 < r <= p/2, so a prime's row is filled from factor() at chi = -1, 0 and
-    +1, repeated to ceil(_ROW_WIDTH/p) p entries (short rows multiply slowly),
-    cut to L <= y + 1 and multiplied in place into acc seen as (y + 1) // L
-    rows of length L, then into the tail.  No length-y temporary is made, and
-    every k gets the same factors in the same ascending-prime order.
+    Each prime contributes a row of factor() at chi = -1, 0 and +1, and the
+    rows are multiplied into acc in ascending-prime order, so every k gets
+    the same factors in the same order on either route:
+
+    - _multiply_square_rows builds a prime's row from the squares mod p, at a
+      cost that grows with p;
+    - _multiply_euler_rows builds it on k <= y only, by Euler's criterion, at
+      a cost that grows with y log p.  It serves the primes above
+      _EULER_RATIO (y + 1), where that is the cheaper of the two (measured:
+      the two cost the same near p = 15 to 30 (y + 1) for y = 10^3 to 10^4).
     """
     _check_budget(8 * (y + 1), f"bulk product over k <= {y}")
     primes = _odd_primes_upto(cutoff)
-    # a row peaks at 8 bytes per entry and 8 per residue of p (measured): under 17 p + 9 _ROW_WIDTH for any p
-    _check_budget(17 * int(primes[-1]) + 9 * _ROW_WIDTH, f"factor row from the Legendre table mod {primes[-1]}")
+    lo, hi = np.searchsorted(primes, [_EULER_RATIO * (y + 1), _EULER_P_MAX], side="right")
+    square_p = int(primes[-1] if hi < len(primes) else primes[lo - 1])  # the largest square row (lo >= 1: 3 is one)
+    # a square row peaks at 8 bytes per entry and 8 per residue of p (measured):
+    # under 17 p + 9 _ROW_WIDTH for any p.  An Euler block peaks at about 35
+    # bytes a cell (measured: its int64 powers and products, then the rows), under 40
+    _check_budget(
+        max(17 * square_p + 9 * _ROW_WIDTH, 40 * _euler_block(y) * (y + 1) if hi > lo else 0),
+        f"factor rows over k <= {y} for the odd primes <= {cutoff}",
+    )
     acc = np.ones(y + 1, dtype=np.float64)
+    _multiply_square_rows(acc, primes[:lo], factor)
+    _multiply_euler_rows(acc, primes[lo:hi], factor)
+    _multiply_square_rows(acc, primes[hi:], factor)
+    acc[0] = 0.0
+    return acc
+
+
+def _multiply_square_rows(acc: np.ndarray, primes: np.ndarray, factor) -> None:
+    """acc *= each prime's factor row, built from the squares mod p.
+
+    chi_k(p) = (-k/p) is periodic mod p and +1 exactly at k = p - (r^2 mod p),
+    0 < r <= p/2, so a prime's row is filled from factor() at chi = -1, 0 and
+    +1, repeated to ceil(_ROW_WIDTH/p) p entries (short rows multiply slowly),
+    cut to L <= len(acc) and multiplied in place into acc seen as
+    len(acc) // L rows of length L, then into the tail.  No length-y
+    temporary is made.
+    """
     for p in map(int, primes):
         minus, zero, plus = factor(p, np.array([-1.0, 0.0, 1.0])).tolist()
         row = np.full(-(-_ROW_WIDTH // p) * p, minus)
         row[0] = zero
         row[p - np.arange(1, p // 2 + 1, dtype=np.int64) ** 2 % p] = plus
         row.reshape(-1, p)[1:] = row[:p]
-        row = row[: y + 1]
-        span = (y + 1) // len(row) * len(row)
+        row = row[: len(acc)]
+        span = len(acc) // len(row) * len(row)
         rows = acc[:span].reshape(-1, len(row))
         rows *= row
-        acc[span:] *= row[: y + 1 - span]
+        acc[span:] *= row[: len(acc) - span]
         del row  # so the next prime's row is not built beside this one
-    acc[0] = 0.0
-    return acc
+
+
+def _euler_block(y: int) -> int:
+    """Primes per block of _multiply_euler_rows: a block holds about _ROW_WIDTH cells, at least one row."""
+    return max(1, _ROW_WIDTH // (y + 1))
+
+
+def _multiply_euler_rows(acc: np.ndarray, primes: np.ndarray, factor) -> None:
+    """acc *= each prime's factor row on k = 0..len(acc)-1, for primes len(acc) < p <= _EULER_P_MAX.
+
+    The rows are built a block of primes at a time from _euler_symbols.
+    """
+    block = _euler_block(len(acc) - 1)
+    for start in range(0, len(primes), block):
+        ps = primes[start : start + block, None]
+        power = _euler_symbols(ps, len(acc))
+        minus, zero, plus = factor(ps.astype(np.float64), np.array([-1.0, 0.0, 1.0])).T[:, :, None]
+        for row in np.where(power == 1, plus, np.where(power == 0, zero, minus)):
+            acc *= row
+        del power, row  # so the next block is not built beside this one
+
+
+def _euler_symbols(ps: np.ndarray, n: int) -> np.ndarray:
+    """(-k)^((p-1)/2) mod p for k = 0..n-1, a row per prime p of the column ps (each p > n).
+
+    By Euler's criterion this is (-k/p) mod p: 1 or p - 1 for 0 < k < p, and
+    0 at k = 0.  The powers are taken by square and multiply, each row with
+    its own exponent; the residues stay below p <= _EULER_P_MAX, so their
+    products fit in int64.
+    """
+    base = ps - np.arange(n)  # -k mod p, and p at k = 0, which the first reduction makes 0
+    power = np.ones_like(base)
+    step = np.empty_like(base)
+    exponent = (ps - 1) // 2
+    for bit in range(int(exponent.max()).bit_length()):
+        np.multiply(power, base, out=step)
+        step %= ps
+        np.copyto(power, step, where=(exponent >> bit) & 1 == 1)
+        base *= base
+        base %= ps
+    return power
 
 
 def _prime_product(k: int, cutoff: int, factor) -> float:

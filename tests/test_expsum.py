@@ -17,9 +17,12 @@ from quadprime.expsum import (
     ArcPoint,
     Character,
     _cached_character_table,
-    _character_values,
+    _character_orders,
     _conjugate_indices,
     _diameter,
+    _extent,
+    _half_walks,
+    _pair_representatives,
     _unit_cycles,
     build_character_table,
     circle_psi_oracle,
@@ -574,14 +577,46 @@ def test_pair_representatives_cover_every_index_once():
         conj = _conjugate_indices(cycle_orders(q))
         phi, index = len(conj), np.arange(len(conj))
         reals = int(np.count_nonzero(conj == index))
-        reps = np.flatnonzero(index <= conj)
+        reps = _pair_representatives(cycle_orders(q))
         assert len(reps) * 2 == phi + reals, q
         covered = np.concatenate([reps, conj[reps][conj[reps] != reps]])
         assert np.array_equal(np.sort(covered), index), q
         assert np.array_equal(conj[conj], index), q
-        orders = _character_values(q, one_per_pair=True)[1]
+        orders = _character_orders(cycle_orders(q), reps)
         real_chars = sum(ch.is_real for ch in build_character_table(q).chars)
         assert len(orders) == len(reps) and np.count_nonzero(orders <= 2) == reals == real_chars, q
+
+
+def assert_half_walk_brackets_match_full_walks(q):
+    """pv_check's box and projected widths, from half walks and their images, against the full-period walks."""
+    tab = build_character_table(q)
+    cycle_logs, unit_mask = _unit_cycles(q)
+    index = np.array([ch.index for ch in tab.chars if not ch.is_principal], dtype=np.int64)
+    half, even = _half_walks(cycle_logs, unit_mask, index)
+    full = np.cumsum(tab.values[index], axis=1)  # [0, S(1), ..., S(q-1)]
+    assert np.array_equal(even, tab.values[index, q - 1] == 1.0), q
+    tol = 1e-12 * np.abs(full).max(axis=1, initial=1.0)
+    t = np.pi * np.arange(expsum._PV_DIRECTIONS) / expsum._PV_DIRECTIONS
+    for got, want in [
+        (_extent(half.real, even), np.ptp(full.real, axis=1)),
+        (_extent(half.imag, even), np.ptp(full.imag, axis=1)),
+        *[(_extent(half.real * c + half.imag * s, even), np.ptp(full.real * c + full.imag * s, axis=1))
+          for c, s in zip(np.cos(t), np.sin(t))],
+    ]:
+        assert np.all(np.abs(got - want) <= tol), q
+
+
+def test_half_walk_brackets_match_full_walks():
+    for q in range(2, 301):
+        assert_half_walk_brackets_match_full_walks(q)
+
+
+@settings(max_examples=8, deadline=None)
+@given(q=st.integers(min_value=301, max_value=3000))
+@example(q=2048)
+@example(q=2310)
+def test_half_walk_brackets_match_full_walks_large_q(q):
+    assert_half_walk_brackets_match_full_walks(q)
 
 
 @pytest.mark.parametrize("q", [31, 43, 244, 540])  # moduli where a bare Qhull diameter is not mirror-symmetric

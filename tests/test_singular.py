@@ -436,6 +436,29 @@ def test_bulk_row_peak_is_within_its_count(cutoff):
     assert peak - 8 * (y + 1) <= 17 * cutoff + 9 * singular._ROW_WIDTH  # each cutoff is prime
 
 
+@pytest.mark.parametrize("factor", [singular._euler_factor, singular._sl_factor])
+@pytest.mark.parametrize("y, cutoff", [(1, 20000), (10, 20000), (300, 30000), (2**13, 9000)])
+def test_euler_rows_equal_square_rows(y, cutoff, factor):
+    primes = singular._odd_primes_upto(cutoff)
+    primes = primes[primes > y + 1]
+    want, got = np.ones(y + 1), np.ones(y + 1)
+    singular._multiply_square_rows(want, primes, factor)
+    singular._multiply_euler_rows(got, primes, factor)
+    assert np.array_equal(got, want)
+
+
+def test_bulk_rows_of_primes_far_above_y_cost_what_y_does():
+    y, cutoff = 100, 200_000
+    singular._primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
+    tracemalloc.start()
+    try:
+        singular_series_euler_bulk(y, cutoff)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cutoff  # a square row of the largest prime alone peaks at about 17 p
+
+
 def test_bulk_product_checks_the_budget_once_per_call(monkeypatch):
     singular._primes_upto(10**4)  # a growing sieve checks the budget too
     checks = []
@@ -460,7 +483,7 @@ def test_bulk_products_check_the_budget(monkeypatch):
     with pytest.raises(MemoryError, match="bulk product"):
         singular_series_euler_bulk(10**5, 3)
     assert singular._prime_cache["table"] is None
-    with pytest.raises(MemoryError, match="Legendre table mod"):
+    with pytest.raises(MemoryError, match="factor rows over k <= 100 for the odd primes <= 20000"):
         singular_series_euler_bulk(100, 20000)
 
 
