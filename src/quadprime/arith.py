@@ -37,14 +37,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n < 1:
         raise ValueError(f"factorize: n must be >= 1, got {n}")
     out = []
-    for p in (2, 3):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    p = 5
+    p = 2
     while p * p <= n:
         if n % p == 0:
             e = 0
@@ -52,8 +45,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 n //= p
                 e += 1
             out.append((p, e))
-        # 6k +/- 1 wheel
-        p += 2 if p % 6 == 5 else 4
+        p += 1 if p == 2 else 2 if p % 6 != 1 else 4  # 2, 3, then the 6k +/- 1 wheel
     if n > 1:
         out.append((n, 1))
     return out

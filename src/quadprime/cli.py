@@ -29,7 +29,6 @@ from .expsum import (
     decompose_s1,
     decompose_s2,
     g_quadratic,
-    gauss_sum,
     pv_check,
     s1,
     s2,
@@ -162,9 +161,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
 # --- invariant suites (check ...) -------------------------------------------
 
 
-def check_weyl(seed: int) -> tuple[float, bool]:
-    """Max Weyl ratio over the seeded random grid; pass iff within 5% of the record."""
-    rng = random.Random(seed)
+def check_weyl() -> tuple[float, bool]:
+    """Max Weyl ratio over the seed-0 random grid; pass iff within 5% of the record."""
+    rng = random.Random(0)
     worst = 0.0
     for x in (100, 1000, 10_000):
         for _ in range(50):
@@ -245,28 +244,22 @@ def check_decompose(q_max: int) -> bool:
 def check_gauss(q_max: int) -> bool:
     if q_max < 1:
         raise ValueError(f"check gauss: --qmax must be >= 1, got {q_max}")
-    ok = True
-    worst_mod = 0.0
+    worst_mod = worst_id = 0.0
     for q in range(1, q_max + 1):
         table = build_character_table(q)
-        for ch in table.chars:
+        tau_bars = _tau_bars(table)  # conj permutes the primitive characters, so |tau(conj chi)| serves for |tau(chi)|
+        for tau_bar, ch in zip(tau_bars, table.chars):
             if ch.is_primitive:
-                worst_mod = max(worst_mod, abs(abs(gauss_sum(ch)) - math.sqrt(q)))
-    if worst_mod > 1e-9:
-        ok = False
-    worst_id = 0.0
-    for q in range(1, q_max + 1, 2):
-        if mobius_phi(q)[0] == 0:
+                worst_mod = max(worst_mod, abs(abs(tau_bar) - math.sqrt(q)))
+        if q % 2 == 0 or mobius_phi(q)[0] == 0:
             continue
-        table = build_character_table(q)
-        real = [(tau_bar, ch) for tau_bar, ch in zip(_tau_bars(table), table.chars) if ch.order <= 2]
+        real = [(tau_bar, ch) for tau_bar, ch in zip(tau_bars, table.chars) if ch.order <= 2]
         for a in range(1, q + 1):
             if math.gcd(a, q) != 1:
                 continue
             via_chars = sum(tau_bar * ch((-a) % q) for tau_bar, ch in real)
             worst_id = max(worst_id, abs(via_chars - g_quadratic(a, q)))
-    if worst_id > 1e-9:
-        ok = False
+    ok = worst_mod <= 1e-9 and worst_id <= 1e-9
     print(f"gauss: worst | |tau|-sqrt(q) | = {worst_mod:.3e}, worst quadratic-identity gap = {worst_id:.3e} -> {'ok' if ok else 'FAIL'}")
     return ok
 
@@ -283,7 +276,7 @@ def check_sandwich(k_max: int, tol: float) -> bool:
 def cmd_check(args: argparse.Namespace) -> int:
     ok = True
     if args.suite == "weyl":
-        _, ok = check_weyl(args.seed)
+        _, ok = check_weyl()
     elif args.suite == "pv":
         ok = check_pv(args.qmax)
     elif args.suite == "decompose":
@@ -341,7 +334,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="run an invariant suite")
     p.add_argument("suite", choices=("weyl", "pv", "decompose", "gauss", "sandwich"))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--qmax", type=int, default=500)
     p.add_argument("--kmax", type=int, default=10_000)
     p.add_argument("--tol", type=float, default=1e-4)

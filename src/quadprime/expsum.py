@@ -92,19 +92,14 @@ def _primitive_root_mod_p(p: int) -> int:
         g += 1
 
 
-def _component_cycles(p: int, e: int) -> list[tuple[int, int]]:
-    """Generators (g, order) of the unit group mod p^e."""
-    if p == 2:
-        if e == 1:
-            return []
-        if e == 2:
-            return [(3, 2)]
-        return [(2**e - 1, 2), (5, 2 ** (e - 2))]
-    g = _primitive_root_mod_p(p)
-    if e > 1 and pow(g, p - 1, p * p) == 1:
-        g += p
-    phi = (p - 1) * p ** (e - 1)
-    return [(g, phi)]
+def _power_logs(g: int, m: int, order: int) -> np.ndarray:
+    """t at g^t mod m for t = 0..order-1, from one walk of the powers of g (of that order mod m); -1 elsewhere."""
+    logs = np.full(m, -1, dtype=np.int64)
+    x = 1
+    for t in range(order):
+        logs[x] = t
+        x = x * g % m
+    return logs
 
 
 @dataclass
@@ -143,34 +138,27 @@ class CharacterTable:
 def _unit_cycles(q: int) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
     """The cycles of (Z/qZ)^* as (order, discrete log of every n mod q), and the unit mask.
 
-    Odd prime powers contribute one cycle (primitive root, lifted to p^e);
-    2^e contributes {+-1} x <5> for e >= 3.  Logs are valid only on the units.
+    Odd prime powers contribute one cycle: the least primitive root g mod p,
+    lifted to g + p when g^(p-1) = 1 mod p^2, generates the units mod p^e.
+    2^e contributes {+-1} for e >= 2, then <5> for e >= 3: n = (-1)^s 5^t
+    with 5^t = 1 mod 4, so s = 1 exactly at n = 3 mod 4, and t is the log of
+    5 at n or -n.  Logs are valid only on the units.
     """
     n = np.arange(q, dtype=np.int64)
     cycle_logs = []
     for p, e in factorize(q) if q > 1 else []:
         pe = p**e
-        cycles = _component_cycles(p, e)
-        if len(cycles) == 2:
-            # mod 2^e, e >= 3: every odd residue is (-1)^s 5^t; recover (s, t) jointly
-            o1, o2 = cycles[0][1], cycles[1][1]
-            dl1 = np.full(pe, -1, dtype=np.int64)
-            dl2 = np.full(pe, -1, dtype=np.int64)
-            for s in range(o1):
-                for t in range(o2):
-                    r = pow(pe - 1, s, pe) * pow(5, t, pe) % pe
-                    dl1[r], dl2[r] = s, t
-            dlogs = [(o1, dl1), (o2, dl2)]
-        else:
-            dlogs = []
-            for g, order in cycles:
-                dl = np.full(pe, -1, dtype=np.int64)
-                x = 1
-                for t in range(order):
-                    dl[x] = t
-                    x = x * g % pe
-                dlogs.append((order, dl))
-        cycle_logs.extend((order, dl[n % pe]) for order, dl in dlogs)
+        r = n % pe
+        if p > 2:
+            g = _primitive_root_mod_p(p)
+            if e > 1 and pow(g, p - 1, p * p) == 1:
+                g += p
+            cycle_logs.append((pe - pe // p, _power_logs(g, pe, pe - pe // p)[r]))
+        elif e > 1:
+            sign = r % 4 == 3
+            cycle_logs.append((2, sign.astype(np.int64)))
+            if e > 2:
+                cycle_logs.append((pe // 4, _power_logs(5, pe, pe // 4)[np.where(sign, -r % pe, r)]))
     unit_mask = np.ones(q, dtype=bool) if q == 1 else (np.gcd(n, q) == 1)
     return cycle_logs, unit_mask
 
@@ -240,16 +228,21 @@ def _check_modulus(q: int, what: str) -> None:
         raise ValueError(f"{what}: q = {q} over the ceiling {CHARACTER_Q_CEILING}")
 
 
-def _character_values(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only phi(q) x q value matrix of the characters mod q, and their orders.
+def build_character_table(q: int) -> CharacterTable:
+    """All phi(q) characters mod q: their read-only value matrix, orders, conductors and Character rows.
 
     A character is a choice of exponent on each cycle of _unit_cycles(q);
     character `index` takes the mixed-radix digits j_c of index as exponents,
     and its value at a unit n is one gather of _character_exponents from
     _mirrored_roots (its 0.0 slot serves the non-units).  So the row of
     conj(chi), at _conjugate_indices, is bit for bit the conjugate of chi's
-    row, and real characters are exactly real.  q is capped by
+    row, and real characters are exactly real.  The conductor is the least
+    d | q with chi = 1 on the units = 1 mod d, tested per divisor over the
+    rows still open.  Each Character.values is a row view of the matrix, so
+    a shared table cannot be changed through a row.  q is capped by
     CHARACTER_Q_CEILING, and the budget is checked at 40 bytes per entry.
+    Each call builds anew; _cached_character_table keeps the tables that the
+    decompositions revisit.
     """
     if q < 1:
         raise ValueError(f"build_character_table: q must be >= 1, got {q}")
@@ -258,10 +251,10 @@ def _character_values(q: int) -> tuple[np.ndarray, np.ndarray]:
     cycle_logs, unit_mask = _unit_cycles(q)
     cycle_orders = [order for order, _ in cycle_logs]
     index = np.arange(math.prod(cycle_orders), dtype=np.int64)
-    # peak bytes per entry: 24 here (the int64 exponents beside the gathered
-    # values; tracemalloc measured 24 at q = 499 and 997).  build_character_table
-    # then holds 16 plus a conductor block of <= q/2 columns (d > 1) at 41 bytes
-    # a cell, and 40 bounds both
+    # peak bytes per entry: 24 while the int64 exponents sit beside the
+    # gathered values (tracemalloc measured 24 at q = 499 and 997), then 16
+    # plus a conductor block of <= q/2 columns (d > 1) at 41 bytes a cell,
+    # and 40 bounds both
     _check_budget(len(index) * q * 40, f"character table mod {q} ({len(index)}x{q} entries at 40 bytes)")
 
     exps = _character_exponents(cycle_logs, index, np.arange(q))
@@ -270,21 +263,7 @@ def _character_values(q: int) -> tuple[np.ndarray, np.ndarray]:
     values = _mirrored_roots(lam)[exps]
     del exps
     values.flags.writeable = False
-    return values, _character_orders(cycle_orders, index)
-
-
-def build_character_table(q: int) -> CharacterTable:
-    """Character table mod q: the matrix of _character_values(q), its conductors and Character rows.
-
-    The conductor is the least d | q with chi = 1 on the units = 1 mod d,
-    tested per divisor over the rows still open.  The value matrix is
-    read-only and each Character.values is a row view of it, so a shared
-    table cannot be changed through a row.  q is capped by CHARACTER_Q_CEILING
-    and the build's peak must fit the memory budget.  Each call builds anew;
-    _cached_character_table keeps the tables that the decompositions revisit.
-    """
-    values, orders = _character_values(q)
-    unit_mask = np.gcd(np.arange(q), q) == 1
+    orders = _character_orders(cycle_orders, index)
 
     # only the principal character is 1 on every unit, so it alone has conductor 1
     conductors = np.where(orders == 1, 1, q)
@@ -520,9 +499,9 @@ def _pv_bound(q: int) -> float:
 def _unit_walks(cycle_logs: list[tuple[int, np.ndarray]], index: np.ndarray, units: np.ndarray) -> np.ndarray:
     """The running sums chi(u_1), chi(u_1) + chi(u_2), ... over ascending units u_i, a row per character of `index`.
 
-    Each value is the gather of _character_values and the sums are taken in
-    the same order, so the row is the floats that the full row's cumsum takes
-    at those units.
+    Each value is the gather of build_character_table and the sums are taken
+    in the same order, so the row is the floats that the full row's cumsum
+    takes at those units.
     """
     walks = _mirrored_roots(math.lcm(*(order for order, _ in cycle_logs)))[_character_exponents(cycle_logs, index, units)]
     return np.cumsum(walks, axis=1, out=walks)

@@ -205,22 +205,25 @@ def _bulk_product(y: int, cutoff: int, factor) -> np.ndarray:
       a cost that grows with y log p.  It serves the primes above
       _EULER_RATIO (y + 1), where that is the cheaper of the two (measured:
       the two cost the same near p = 15 to 30 (y + 1) for y = 10^3 to 10^4).
+
+    A cutoff above _EULER_P_MAX is refused before the sieve: its Euler rows
+    would overflow int64, and square rows there would need about 17 p bytes.
     """
+    if cutoff > _EULER_P_MAX:
+        raise ValueError(f"bulk product: cutoff {cutoff} over {_EULER_P_MAX}, where Euler's criterion overflows int64")
     _check_budget(8 * (y + 1), f"bulk product over k <= {y}")
     primes = _odd_primes_upto(cutoff)
-    lo, hi = np.searchsorted(primes, [_EULER_RATIO * (y + 1), _EULER_P_MAX], side="right")
-    square_p = int(primes[-1] if hi < len(primes) else primes[lo - 1])  # the largest square row (lo >= 1: 3 is one)
+    lo = int(np.searchsorted(primes, _EULER_RATIO * (y + 1), side="right"))  # lo >= 1: 3 is a square row
     # a square row peaks at 8 bytes per entry and 8 per residue of p (measured):
     # under 17 p + 9 _ROW_WIDTH for any p.  An Euler block peaks at about 35
     # bytes a cell (measured: its int64 powers and products, then the rows), under 40
     _check_budget(
-        max(17 * square_p + 9 * _ROW_WIDTH, 40 * _euler_block(y) * (y + 1) if hi > lo else 0),
+        max(17 * int(primes[lo - 1]) + 9 * _ROW_WIDTH, 40 * _euler_block(y) * (y + 1) if lo < len(primes) else 0),
         f"factor rows over k <= {y} for the odd primes <= {cutoff}",
     )
     acc = np.ones(y + 1, dtype=np.float64)
     _multiply_square_rows(acc, primes[:lo], factor)
-    _multiply_euler_rows(acc, primes[lo:hi], factor)
-    _multiply_square_rows(acc, primes[hi:], factor)
+    _multiply_euler_rows(acc, primes[lo:], factor)
     acc[0] = 0.0
     return acc
 

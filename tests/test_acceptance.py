@@ -252,7 +252,7 @@ def test_11_character_walk_bound():
 
 def test_12_minor_arc_calibration(capsys):
     started = time.monotonic()
-    worst, ok = check_weyl(0)
+    worst, ok = check_weyl()
     capsys.readouterr()
     with capsys.disabled():
         report(

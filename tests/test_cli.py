@@ -258,6 +258,7 @@ def test_every_flag_is_read():
         ["psi", "--x", "15", "--k", "3", "--y", "10"],
         ["sweep", "--x", "10", "--y", "50", "--budget-bytes", "1000000000"],
         ["tables", "--limit", "100", "--budget-bytes", "1000000000"],
+        ["check", "weyl", "--seed", "0"],
     ],
 )
 def test_removed_flags_are_usage_errors(argv, tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 decompositions, the circle-integral oracle, and the character-walk bound."""
 
 import cmath
+import hashlib
 import math
 import tracemalloc
 
@@ -548,6 +549,28 @@ def test_pv_pruned_max_equals_exhaustive_diameter_large_q(q):
 
 def cycle_orders(q):
     return [order for order, _ in _unit_cycles(q)[0]]
+
+
+UNIT_CYCLE_SHA256 = {
+    8: "15d5902760638fdd790e11574e7d0c1107e013d0bf938f1f3db5383b73d1ed67",
+    16: "4d91a589ac59afebfe0fc02786d18dd282e39abf976475bf1fe34cafa46158ea",
+    2048: "849c23b9bc67fb456cffbc11beb22f56e4bf4bfa9f785c10432f610320a9c3f0",
+    2310: "788f401b141a826c7701dda3d1794fb15f4ae7addbfdbbaf71f7a46a751436e4",
+    4096: "a95324fe5bd8a6b8a25404b502bc5a6f3529220d7b91e768b4f08b7f970d83e8",
+    9240: "874d0e03d1021d48e560e370903550d7b936410af783236cfc9303984478c82c",
+    9801: "7b4bab6fd7e09d1374d6f0579f61eb2a92975b14d957f42cf61e375760c7ac9c",
+}
+
+
+@pytest.mark.parametrize("q", sorted(UNIT_CYCLE_SHA256))
+def test_unit_cycle_logs_are_pinned(q):
+    """The generators and the order of the cycles fix every character's index; the oracles above read the same logs."""
+    cycle_logs, unit_mask = _unit_cycles(q)
+    h = hashlib.sha256()
+    for order, logs in cycle_logs:
+        h.update(np.int64(order).tobytes())
+        h.update(logs[unit_mask].astype(np.int64).tobytes())
+    assert h.hexdigest() == UNIT_CYCLE_SHA256[q]
 
 
 def assert_rows_are_conjugate_symmetric(q):

@@ -487,6 +487,14 @@ def test_bulk_products_check_the_budget(monkeypatch):
         singular_series_euler_bulk(100, 20000)
 
 
+def test_bulk_product_refuses_a_cutoff_past_euler_rows_before_the_sieve(monkeypatch):
+    sieves = []
+    monkeypatch.setattr(singular, "build_prime_table", lambda limit: sieves.append(limit))
+    with pytest.raises(ValueError, match="cutoff 3037000500 over 3037000499"):
+        singular_series_euler_bulk(1, singular._EULER_P_MAX + 1)
+    assert sieves == []
+
+
 # ---------------------------------------------------------------------------
 # L-values
 
