@@ -41,6 +41,7 @@ from .singular import SingularCfg, sandwich_violations, sigma_q, singular_series
 # Max |s2| / Weyl envelope over the seeded calibration grid (seed 0, see check_weyl).
 # Re-runs must stay within 5% of this recorded value.
 WEYL_CALIBRATION_C = 0.039036613241745885
+_COPRIME_AS = 3  # residues a per modulus q that check decompose runs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -208,11 +209,10 @@ def check_pv(q_max: int) -> bool:
     return ok
 
 
-def _coprime_as(q: int, how_many: int = 3) -> list[int]:
+def _coprime_as(q: int) -> list[int]:
     if q == 1:
         return [0]
-    out = [a for a in range(1, q) if math.gcd(a, q) == 1]
-    return out[:how_many]
+    return [a for a in range(1, q) if math.gcd(a, q) == 1][:_COPRIME_AS]
 
 
 def check_decompose(q_max: int) -> bool:
@@ -334,7 +334,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="run an invariant suite")
     p.add_argument("suite", choices=("weyl", "pv", "decompose", "gauss", "sandwich"))
-    p.add_argument("--qmax", type=int, default=500)
+    p.add_argument("--qmax", type=int, default=500, help="largest modulus q (decompose caps it at 60, gauss at 50)")
     p.add_argument("--kmax", type=int, default=10_000)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_check)

@@ -188,42 +188,46 @@ def _sl_factor(p, chi):
 
 
 _ROW_WIDTH = 1 << 13  # factor rows of p below this are repeated to at least this many entries
-_EULER_RATIO = 32  # primes p > _EULER_RATIO (y + 1) take Euler's criterion in _bulk_product
-_EULER_P_MAX = math.isqrt(2**63 - 1)  # so the products of residues mod p stay in int64
+_FAR_RATIO = 32  # primes p > _FAR_RATIO (y + 1) take _multiply_far_rows in _bulk_product
+_FAR_BLOCK = 1 << 11  # primes per block of _multiply_far_rows
+
+
+def _factor_table(primes: np.ndarray, factor) -> np.ndarray:
+    """factor(p, chi) at chi = -1, 0, +1 for each p of primes, flattened: entry 3 i + 1 + chi is primes[i]'s."""
+    return factor(primes[:, None].astype(np.float64), np.array([-1.0, 0.0, 1.0])).ravel()
 
 
 def _bulk_product(y: int, cutoff: int, factor) -> np.ndarray:
     """prod of factor(p, chi_k(p)) over odd p <= cutoff for every k = 0..y (index 0 set to 0).
 
-    Each prime contributes a row of factor() at chi = -1, 0 and +1, and the
-    rows are multiplied into acc in ascending-prime order, so every k gets
-    the same factors in the same order on either route:
+    Each prime contributes factor() at chi = -1, 0 or +1 to each k, and the
+    factors are multiplied into acc in ascending-prime order, so every k
+    gets the same factors in the same order on either route:
 
     - _multiply_square_rows builds a prime's row from the squares mod p, at a
       cost that grows with p;
-    - _multiply_euler_rows builds it on k <= y only, by Euler's criterion, at
-      a cost that grows with y log p.  It serves the primes above
-      _EULER_RATIO (y + 1), where that is the cheaper of the two (measured:
-      the two cost the same near p = 15 to 30 (y + 1) for y = 10^3 to 10^4).
+    - _multiply_far_rows reads chi_k on a block of primes through _chi for
+      each k <= y, at a cost that grows with y and not with p.  It serves
+      the primes above _FAR_RATIO (y + 1) (measured: the two cost the same
+      near p = 2 to 4 (y + 1) for y = 10^4 and 10^5, below 2 (y + 1) for y <= 1000).
 
-    A cutoff above _EULER_P_MAX is refused before the sieve: its Euler rows
-    would overflow int64, and square rows there would need about 17 p bytes.
+    The Legendre rows of _chi check the budget themselves; a cutoff too far
+    to sieve is refused by the sieve's check.
     """
-    if cutoff > _EULER_P_MAX:
-        raise ValueError(f"bulk product: cutoff {cutoff} over {_EULER_P_MAX}, where Euler's criterion overflows int64")
     _check_budget(8 * (y + 1), f"bulk product over k <= {y}")
     primes = _odd_primes_upto(cutoff)
-    lo = int(np.searchsorted(primes, _EULER_RATIO * (y + 1), side="right"))  # lo >= 1: 3 is a square row
+    lo = int(np.searchsorted(primes, _FAR_RATIO * (y + 1), side="right"))  # lo >= 1: 3 is a square row
     # a square row peaks at 8 bytes per entry and 8 per residue of p (measured):
-    # under 17 p + 9 _ROW_WIDTH for any p.  An Euler block peaks at about 35
-    # bytes a cell (measured: its int64 powers and products, then the rows), under 40
+    # under 17 p + 9 _ROW_WIDTH for any p.  A far block holds an int8 row per
+    # odd prime <= y, and building its SL factor table peaks near 160 bytes a
+    # prime (measured): under y + 192 bytes a prime
     _check_budget(
-        max(17 * int(primes[lo - 1]) + 9 * _ROW_WIDTH, 40 * _euler_block(y) * (y + 1) if lo < len(primes) else 0),
+        max(17 * int(primes[lo - 1]) + 9 * _ROW_WIDTH, (y + 192) * _FAR_BLOCK if lo < len(primes) else 0),
         f"factor rows over k <= {y} for the odd primes <= {cutoff}",
     )
     acc = np.ones(y + 1, dtype=np.float64)
     _multiply_square_rows(acc, primes[:lo], factor)
-    _multiply_euler_rows(acc, primes[lo:], factor)
+    _multiply_far_rows(acc, primes[lo:], factor)
     acc[0] = 0.0
     return acc
 
@@ -252,45 +256,22 @@ def _multiply_square_rows(acc: np.ndarray, primes: np.ndarray, factor) -> None:
         del row  # so the next prime's row is not built beside this one
 
 
-def _euler_block(y: int) -> int:
-    """Primes per block of _multiply_euler_rows: a block holds about _ROW_WIDTH cells, at least one row."""
-    return max(1, _ROW_WIDTH // (y + 1))
+def _multiply_far_rows(acc: np.ndarray, primes: np.ndarray, factor) -> None:
+    """acc[k] *= factor(p, chi_k(p)) for each p of primes in ascending order, k = 1..len(acc)-1.
 
-
-def _multiply_euler_rows(acc: np.ndarray, primes: np.ndarray, factor) -> None:
-    """acc *= each prime's factor row on k = 0..len(acc)-1, for primes len(acc) < p <= _EULER_P_MAX.
-
-    The rows are built a block of primes at a time from _euler_symbols.
+    The primes go in blocks of _FAR_BLOCK.  Each block reads chi_k through
+    _chi from its own dict of Legendre rows, then gathers the factors from
+    _factor_table and multiplies them into acc[k] left to right, as np.prod
+    does.  Block sizes count primes, not cells: _chi costs a call per k and
+    block, so small blocks are slow at large y.
     """
-    block = _euler_block(len(acc) - 1)
-    for start in range(0, len(primes), block):
-        ps = primes[start : start + block, None]
-        power = _euler_symbols(ps, len(acc))
-        minus, zero, plus = factor(ps.astype(np.float64), np.array([-1.0, 0.0, 1.0])).T[:, :, None]
-        for row in np.where(power == 1, plus, np.where(power == 0, zero, minus)):
-            acc *= row
-        del power, row  # so the next block is not built beside this one
-
-
-def _euler_symbols(ps: np.ndarray, n: int) -> np.ndarray:
-    """(-k)^((p-1)/2) mod p for k = 0..n-1, a row per prime p of the column ps (each p > n).
-
-    By Euler's criterion this is (-k/p) mod p: 1 or p - 1 for 0 < k < p, and
-    0 at k = 0.  The powers are taken by square and multiply, each row with
-    its own exponent; the residues stay below p <= _EULER_P_MAX, so their
-    products fit in int64.
-    """
-    base = ps - np.arange(n)  # -k mod p, and p at k = 0, which the first reduction makes 0
-    power = np.ones_like(base)
-    step = np.empty_like(base)
-    exponent = (ps - 1) // 2
-    for bit in range(int(exponent.max()).bit_length()):
-        np.multiply(power, base, out=step)
-        step %= ps
-        np.copyto(power, step, where=(exponent >> bit) & 1 == 1)
-        base *= base
-        base %= ps
-    return power
+    for start in range(0, len(primes), _FAR_BLOCK):
+        ps = primes[start : start + _FAR_BLOCK]
+        table = _factor_table(ps, factor)
+        at = 3 * np.arange(len(ps)) + 1
+        rows = {}
+        for k in range(1, len(acc)):
+            acc[k] = np.prod(table[at + _chi(k, ps, rows)], initial=acc[k])
 
 
 def _prime_product(k: int, cutoff: int, factor) -> float:
@@ -568,7 +549,7 @@ def _tail_phi_bulk(ks: np.ndarray, q1: int, tol: float, mu: np.ndarray, phi: np.
     # per cell the int8 chi, a bool mask, an int64 index and a float64 factor or term: 18 bytes, counted as 24
     _check_budget(24 * _PHI_BLOCK * len(n), f"chi and factor blocks of {_PHI_BLOCK} x {len(n)}")
 
-    factors = _sl_factor(primes[:, None].astype(np.float64), np.array([-1.0, 0.0, 1.0])).ravel()
+    factors = _factor_table(primes, _sl_factor)
     at_chi_0 = 3 * np.arange(len(primes)) + 1  # factors[at_chi_0 + chi] is _sl_factor(p, chi)
     rows = {p: _legendre_table(p)[n % p] for p in row_primes}
     sl = np.empty(len(ks))

@@ -438,13 +438,52 @@ def test_bulk_row_peak_is_within_its_count(cutoff):
 
 @pytest.mark.parametrize("factor", [singular._euler_factor, singular._sl_factor])
 @pytest.mark.parametrize("y, cutoff", [(1, 20000), (10, 20000), (300, 30000), (2**13, 9000)])
-def test_euler_rows_equal_square_rows(y, cutoff, factor):
+def test_far_rows_equal_square_rows(y, cutoff, factor):
     primes = singular._odd_primes_upto(cutoff)
     primes = primes[primes > y + 1]
     want, got = np.ones(y + 1), np.ones(y + 1)
     singular._multiply_square_rows(want, primes, factor)
-    singular._multiply_euler_rows(got, primes, factor)
+    singular._multiply_far_rows(got, primes, factor)
     assert np.array_equal(got, want)
+
+
+def test_far_rows_are_exact_past_int64_squares():
+    # p > floor(sqrt(2^63 - 1)) = 3,037,000,499, where products of residues mod p overflow int64.
+    # SL factors round to 1.0 there, so only the Euler factors tell chi = +1 from -1.
+    primes = [n for n in range(3_037_000_500, 3_037_000_600) if factorize(n) == [(n, 1)]]
+    assert len(primes) == 5
+    y = 50
+    got = np.ones(y + 1)
+    singular._multiply_far_rows(got, np.array(primes, dtype=np.int64), singular._euler_factor)
+    for k in range(1, y + 1):
+        want = 1.0
+        for p in primes:
+            want *= singular._euler_factor(p, jacobi(-k, p))
+        assert got[k] == want, k
+
+
+@pytest.mark.parametrize(
+    "bulk, y, arg",
+    [
+        (singular_series_euler_bulk, 10, 2 * 10**6),
+        (singular_series_euler_bulk, 100, 2 * 10**5),
+        (singular_series_euler_bulk, 1000, 10**5),
+        (sl_product_bulk, 1, 1e-6),  # cutoff 251305; the SL factor table peaks the highest
+        (sl_product_bulk, 30, 1e-6),
+    ],
+)
+def test_far_row_peak_is_within_its_count(bulk, y, arg, monkeypatch):
+    singular._primes_upto(2 * 10**6)  # the cached sieve is not the kernel's allocation
+    counted = {}
+    check = singular._check_budget
+    monkeypatch.setattr(singular, "_check_budget", lambda n, what: (counted.setdefault(what[:11], n), check(n, what)))
+    tracemalloc.start()
+    try:
+        bulk(y, arg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * (y + 1) <= counted["factor rows"]  # the far block's count, over the square rows' here
 
 
 def test_bulk_rows_of_primes_far_above_y_cost_what_y_does():
@@ -487,12 +526,10 @@ def test_bulk_products_check_the_budget(monkeypatch):
         singular_series_euler_bulk(100, 20000)
 
 
-def test_bulk_product_refuses_a_cutoff_past_euler_rows_before_the_sieve(monkeypatch):
-    sieves = []
-    monkeypatch.setattr(singular, "build_prime_table", lambda limit: sieves.append(limit))
-    with pytest.raises(ValueError, match="cutoff 3037000500 over 3037000499"):
-        singular_series_euler_bulk(1, singular._EULER_P_MAX + 1)
-    assert sieves == []
+def test_bulk_product_leaves_a_cutoff_too_far_to_the_sieve_budget(monkeypatch):
+    monkeypatch.delenv("QUADPRIME_BUDGET_BYTES", raising=False)
+    with pytest.raises(MemoryError, match="prime sieve to 3037000500"):
+        singular_series_euler_bulk(1, 3_037_000_500)
 
 
 # ---------------------------------------------------------------------------
