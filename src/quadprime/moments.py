@@ -31,12 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sieve import LambdaTable, _check_budget, build_lambda_table, build_squarefree_table, build_mobius_phi_tables
-from .singular import (
-    SingularCfg,
-    _tail_phi_bulk,
-    singular_series_euler_bulk,
-    singular_series_lmethod,
-)
+from .singular import SingularCfg, _lmethod_bulk, singular_series_euler_bulk
+from .singular import singular_series_lmethod  # noqa: F401  perfbench traces quadprime.moments.singular_series_lmethod
 
 EXCEPTIONAL_B_GRID = (0.5, 1.0, 1.5, 2.0)
 _CSV_BLOCK = 1 << 15
@@ -106,11 +102,11 @@ def run_sweep(x: int, y: int, cfg: SingularCfg) -> SweepResult:
     """Full error sweep over k = 1..y at fixed x.
 
     The Euler cutoff is raised to max(cfg.euler_cutoff, x) so the main-term
-    truncation error stays well below the psi fluctuation being measured.
-    Warns (without failing) if y falls outside [x^2/(log x)^3, x^2].
-    The Lambda table, the psi, main-term and error arrays (24 (y + 1) bytes
-    together), the main term's prime sieve and the squarefree flags are each
-    checked against the memory budget before they are allocated.
+    truncation error stays well below the psi fluctuation being measured;
+    lmethod reads every S(k) from one _lmethod_bulk call.  Warns (without
+    failing) if y is outside [x^2/(log x)^3, x^2].  The Lambda table, the psi,
+    main-term and error arrays (24 (y + 1) bytes together), each table of the
+    main term and the squarefree flags are checked against the budget first.
     """
     if x < 2:
         raise ValueError(f"run_sweep: x must be >= 2, got {x}")
@@ -130,12 +126,9 @@ def run_sweep(x: int, y: int, cfg: SingularCfg) -> SweepResult:
     if cfg.method == "euler":
         sing = singular_series_euler_bulk(y, max(cfg.euler_cutoff, x))
     else:
-        sing = np.zeros(y + 1)
-        for k in range(1, y + 1):
-            sing[k] = singular_series_lmethod(k, cfg.tol)
+        sing = np.concatenate([[0.0], _lmethod_bulk(np.arange(1, y + 1), cfg.tol)])
 
-    error = psi - sing * float(x)
-    error[0] = 0.0
+    error = psi - sing * float(x)  # 0 at index 0, where psi and sing are 0
     sf = build_squarefree_table(y)
 
     sf_errors = error[1:][sf[1:]]  # a copy, squared in place once the exceptional sets are counted
@@ -172,7 +165,8 @@ def phi_moment(y: int, q1: int, tol: float) -> float:
     if not tol > 0:
         raise ValueError(f"phi_moment: tol must be positive, got {tol}")
     mu, phi = build_mobius_phi_tables(q1)
-    tails = _tail_phi_bulk(np.flatnonzero(build_squarefree_table(y)), q1, tol, mu, phi)
+    q = np.arange(1, q1 + 1, 2, dtype=np.int64)
+    tails = _lmethod_bulk(np.flatnonzero(build_squarefree_table(y)), tol, q, mu[q] / phi[q])
     return math.fsum((tails * tails).tolist())
 
 

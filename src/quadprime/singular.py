@@ -168,14 +168,6 @@ def _chi(k: int, n, rows: dict):
     return chi
 
 
-def _chi_rows(ks, n: np.ndarray, rows: dict) -> np.ndarray:
-    """chi_k(k, n) for each k of ks, as the rows of one int8 matrix; rows is shared as in _chi."""
-    block = np.empty((len(ks), len(n)), dtype=np.int8)
-    for i, k in enumerate(ks):
-        block[i] = _chi(int(k), n, rows)
-    return block
-
-
 def _euler_factor(p, chi):
     """Factor of S(k) at the odd prime p, given chi = chi_k(p)."""
     return 1.0 - chi / (p - 1.0)
@@ -192,9 +184,9 @@ _FAR_RATIO = 32  # primes p > _FAR_RATIO (y + 1) take _multiply_far_rows in _bul
 _FAR_BLOCK = 1 << 11  # primes per block of _multiply_far_rows
 
 
-def _factor_table(primes: np.ndarray, factor) -> np.ndarray:
-    """factor(p, chi) at chi = -1, 0, +1 for each p of primes, flattened: entry 3 i + 1 + chi is primes[i]'s."""
-    return factor(primes[:, None].astype(np.float64), np.array([-1.0, 0.0, 1.0])).ravel()
+def _factor_table(primes: np.ndarray, factor) -> tuple[np.ndarray, np.ndarray]:
+    """factor(p, chi) at chi = -1, 0, +1 for each p of primes, flattened, and at: table[at[i] + chi] is primes[i]'s."""
+    return factor(primes[:, None].astype(float), np.array([-1.0, 0.0, 1.0])).ravel(), 3 * np.arange(len(primes)) + 1
 
 
 def _bulk_product(y: int, cutoff: int, factor) -> np.ndarray:
@@ -267,8 +259,7 @@ def _multiply_far_rows(acc: np.ndarray, primes: np.ndarray, factor) -> None:
     """
     for start in range(0, len(primes), _FAR_BLOCK):
         ps = primes[start : start + _FAR_BLOCK]
-        table = _factor_table(ps, factor)
-        at = 3 * np.arange(len(ps)) + 1
+        table, at = _factor_table(ps, factor)
         rows = {}
         for k in range(1, len(acc)):
             acc[k] = np.prod(table[at + _chi(k, ps, rows)], initial=acc[k])
@@ -465,9 +456,8 @@ def singular_series_lmethod(k: int, tol: float) -> float:
     L = pi h(-4k) / (w sqrt(k)) carries only float rounding, so the error
     budget is the product's: sl_product to tol*L/2 keeps the quotient within
     tol/2, half the budget kept as margin.  l_value, the direct sum, is the
-    oracle for L in the tests.  Nothing is cached: the lmethod sweep and
-    `singular --k` ask for each k once, and phi_moment takes the same values
-    for all its k from _tail_phi_bulk.
+    oracle for L in the tests.  Nothing is cached: `singular --k` asks for
+    one k, and run_sweep and phi_moment take the same floats from _lmethod_bulk.
     """
     if k < 1:
         raise ValueError(f"singular_series_lmethod: k must be >= 1, got {k}")
@@ -517,58 +507,73 @@ def tail_phi(
     return singular_series_lmethod(k, tol) - dirichlet_partial(k, q1, mu=mu, phi=phi)
 
 
-_PHI_BLOCK = 16  # k per block in _tail_phi_bulk: 32 was no faster at the bench size and peaked 0.6 MB higher
+_LMETHOD_CHUNK = 2048  # k per chunk of _lmethod_bulk: at least the 1,824 squarefree k <= 3000 of the phi-moment bench
+_LMETHOD_BLOCK = 16  # k per block of a chunk: 32 was no faster at the bench size and peaked 0.6 MB higher
 
 
-def _tail_phi_bulk(ks: np.ndarray, q1: int, tol: float, mu: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """tail_phi(k, q1, tol, mu=mu, phi=phi) for every k of the ascending int array ks, bit for bit.
+def _odd_prime_factors(ks: np.ndarray) -> list[int]:
+    """The odd primes that divide some k of the ascending int64 array ks, ascending.
 
-    L(k) comes from one _class_numbers pass and each k's SL cutoff from
-    _sl_cutoff(tol L/2), as in singular_series_lmethod.  chi_k is read once
-    per k, at the odd q <= q1 followed by the odd primes up to the largest
-    cutoff, from one dict of Legendre rows gathered there for the whole run.
-    The k go in blocks of _PHI_BLOCK in order of their cutoff, so a block
-    reads chi only up to its own largest cutoff.  Row i of a block's factor
-    matrix holds sl_product's factors for k_i in the same order, gathered
-    from _sl_factor at chi = -1, 0, 1 for each prime, then exact 1.0s past
-    k_i's cutoff, where chi is set to 0; so np.prod along the row is
-    sl_product's float.  np.sum along a row of dirichlet_partial's terms is
-    its float too.
+    Once the primes up to sqrt(max ks) are divided out of a k, 1 or one prime is left.
     """
-    ks = np.asarray(ks, dtype=np.int64)
-    y = int(ks[-1])
-    l_exact = np.pi * _class_numbers(y)[ks] / (np.where(ks == 1, 4, 2) * np.sqrt(ks))
-    cutoffs = np.array([_sl_cutoff(tol * l / 2.0) for l in l_exact.tolist()], dtype=np.int64)
-    primes = _odd_primes_upto(int(cutoffs.max()))
-    q = np.arange(1, q1 + 1, 2, dtype=np.int64)
-    weights = mu[q].astype(np.float64) / phi[q].astype(np.float64)
-    n = np.concatenate([q, primes])
-    # an int8 row per odd prime <= y, each with its array header and dict slot counted as 128 bytes
-    row_primes = _odd_primes_upto(y).tolist()
-    _check_budget((len(n) + 128) * len(row_primes), f"Legendre rows for {len(row_primes)} primes at {len(n)} points")
-    # per cell the int8 chi, a bool mask, an int64 index and a float64 factor or term: 18 bytes, counted as 24
-    _check_budget(24 * _PHI_BLOCK * len(n), f"chi and factor blocks of {_PHI_BLOCK} x {len(n)}")
+    small = _primes_upto(math.isqrt(int(ks[-1])))
+    m = ks.copy()
+    for p in small.tolist():
+        while len(hit := np.flatnonzero(m % p == 0)):
+            m[hit] //= p
+    return small[1:][(ks[:, None] % small[1:] == 0).any(axis=0)].tolist() + sorted(set(m[m > 2].tolist()))
 
-    factors = _factor_table(primes, _sl_factor)
-    at_chi_0 = 3 * np.arange(len(primes)) + 1  # factors[at_chi_0 + chi] is _sl_factor(p, chi)
-    rows = {p: _legendre_table(p)[n % p] for p in row_primes}
-    sl = np.empty(len(ks))
-    partial = np.empty(len(ks))
-    order = np.argsort(cutoffs, kind="stable")
-    for lo in range(0, len(ks), _PHI_BLOCK):
-        idx = order[lo : lo + _PHI_BLOCK]
-        cut = cutoffs[idx]
-        width = int(np.searchsorted(primes, cut[-1], side="right"))
-        chi = _chi_rows(ks[idx], n[: len(q) + width], rows)
-        c = chi[:, len(q) :]
-        c[primes[:width] > cut[:, None]] = 0  # chi = 0 gives a factor of exactly 1.0
-        sl[idx] = np.prod(factors[at_chi_0[:width] + c], axis=1)
-        partial[idx] = np.sum(weights * chi[:, : len(q)], axis=1)
-    s = sl / l_exact
-    bad = np.flatnonzero(~(s > 0.0))
-    if len(bad):
-        raise VerificationError(f"singular_series_lmethod: S({ks[bad[0]]}) came out non-positive ({s[bad[0]]})")
-    return s - partial
+
+def _lmethod_bulk(ks: np.ndarray, tol: float, q=None, weights=None) -> np.ndarray:
+    """singular_series_lmethod(k, tol) - sum(weights chi_k(q)) for each k of the ascending int64 array ks, bit for bit.
+
+    run_sweep passes no q, for S(k); phi_moment passes the odd q <= q1 and
+    mu(q)/phi(q), for tail_phi(k, q1, tol).  L(k) comes from one
+    _class_numbers pass and each k's SL cutoff from _sl_cutoff(tol L/2), as
+    in singular_series_lmethod.  The k go in ascending chunks of
+    _LMETHOD_CHUNK, each with one dict of Legendre rows for the odd primes
+    of its own k, at the q and then the odd primes up to its largest
+    cutoff; so the rows do not grow with y.  Within a chunk the k go in
+    blocks of _LMETHOD_BLOCK in order of cutoff, so a block reads chi only
+    up to its own largest cutoff.  Row i of a block's factor matrix holds
+    sl_product's factors for k_i in order, from _sl_factor at chi = -1, 0,
+    1, then exact 1.0s past k_i's cutoff, where chi is set to 0; so np.prod
+    along it is sl_product's float, and np.sum along a row of
+    dirichlet_partial's terms is its float too.
+    """
+    if q is None:
+        q, weights = np.empty(0, dtype=np.int64), np.empty(0)
+    h = _class_numbers(int(ks[-1]))
+    out = np.empty(len(ks))
+    for start in range(0, len(ks), _LMETHOD_CHUNK):
+        chunk = ks[start : start + _LMETHOD_CHUNK]
+        l_exact = np.pi * h[chunk] / (np.where(chunk == 1, 4, 2) * np.sqrt(chunk))
+        cutoffs = np.array([_sl_cutoff(tol * l / 2.0) for l in l_exact.tolist()], dtype=np.int64)
+        primes = _odd_primes_upto(int(cutoffs.max()))
+        n = np.concatenate([q, primes])
+        # per cell the int8 chi, a bool mask, an int64 index and a float64 factor or term: 18 bytes, counted as 24
+        _check_budget(24 * _LMETHOD_BLOCK * len(n), f"chi and factor blocks of {_LMETHOD_BLOCK} x {len(n)}")
+        factors, at = _factor_table(primes, _sl_factor)
+        ps = _odd_prime_factors(chunk)
+        # an int8 row per prime, with its array header and dict slot counted as 128 bytes
+        _check_budget((len(n) + 128) * len(ps), f"Legendre rows for {len(ps)} primes at {len(n)} points")
+        rows = {p: _legendre_table(p)[n % p] for p in ps}
+        order = np.argsort(cutoffs, kind="stable")
+        for idx in np.split(order, range(_LMETHOD_BLOCK, len(order), _LMETHOD_BLOCK)):
+            cut = cutoffs[idx]
+            width = int(np.searchsorted(primes, cut[-1], side="right"))
+            chi = np.empty((len(idx), len(q) + width), dtype=np.int8)
+            for i, k in enumerate(chunk[idx].tolist()):
+                chi[i] = _chi(k, n[: len(q) + width], rows)
+            c = chi[:, len(q) :]
+            c[primes[:width] > cut[:, None]] = 0  # chi = 0 gives a factor of exactly 1.0
+            s = np.prod(factors[at[:width] + c], axis=1) / l_exact[idx]
+            if not (s > 0.0).all():
+                j = np.argmin(s > 0.0)
+                raise VerificationError(f"singular_series_lmethod: S({chunk[idx[j]]}) came out non-positive ({s[j]})")
+            out[start + idx] = s - np.sum(weights * chi[:, : len(q)], axis=1)
+        del rows  # so the next chunk's rows are not gathered beside these
+    return out
 
 
 def sandwich_bounds() -> tuple[float, float]:

@@ -10,6 +10,7 @@ from functools import lru_cache
 
 import pytest
 
+from quadprime import singular
 from quadprime.sieve import build_squarefree_table
 from quadprime.singular import dirichlet_partial, l_value, sl_product
 
@@ -36,3 +37,17 @@ def phi_moment_via_l_value(s_via_l_value):
         )
 
     return moment
+
+
+@pytest.fixture
+def largest_counts(monkeypatch):
+    """The largest byte count that singular's budget checks asked for, keyed by the first 14 characters of each check."""
+    counted = {}
+    check = singular._check_budget
+
+    def record(nbytes, what):
+        counted[what[:14]] = max(nbytes, counted.get(what[:14], 0))
+        check(nbytes, what)
+
+    monkeypatch.setattr(singular, "_check_budget", record)
+    return counted

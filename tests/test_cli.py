@@ -122,7 +122,7 @@ def test_singular_checks_the_class_number_grid_budget(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, allocation",
     [
-        (["sweep", "--x", "10", "--y", "100", "--method", "lmethod", "--tol", "2e-7"], "prime sieve to 2687510"),
+        (["sweep", "--x", "10", "--y", "100", "--method", "lmethod", "--tol", "2e-7"], "prime sieve to 4916301"),
         (["tables", "--limit", str(10**6)], "prime sieve to 1000000"),
         (["psi", "--x", "1000", "--k", "1"], "Lambda table over [1, 1000001]"),
     ],

@@ -173,6 +173,16 @@ def test_sweep_lmethod_route_matches_per_k(s_via_l_value):
         assert abs(r.singular[k] - s_via_l_value(k, 1e-8)) <= 1e-6, k
 
 
+def test_sweep_lmethod_rows_do_not_grow_with_y(largest_counts, monkeypatch):
+    x, y, cfg = 91, 4 * singular._LMETHOD_CHUNK, SingularCfg(method="lmethod", tol=1e-4)
+    free = run_sweep(x, y, cfg)
+    per_chunk = largest_counts["Legendre rows "]
+    points = largest_counts["chi and factor"] // (24 * singular._LMETHOD_BLOCK)
+    assert per_chunk < (points + 128) * len(singular._odd_primes_upto(y))  # a row for every odd prime <= y
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(per_chunk))
+    assert np.array_equal(run_sweep(x, y, cfg).singular, free.singular)
+
+
 def test_sweep_warns_on_disproportionate_y(cfg):
     with pytest.warns(UserWarning, match="window"):
         run_sweep(100, 10, cfg)

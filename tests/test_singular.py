@@ -10,6 +10,7 @@ import cmath
 import math
 import tracemalloc
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 from quadprime import singular
 from quadprime.arith import factorize, jacobi, mobius_phi
 from quadprime.errors import VerificationError
+from quadprime.sieve import build_mobius_phi_tables
 from quadprime.singular import (
     SingularCfg,
-    _chi_rows,
     _class_numbers,
     _legendre_table,
     _odd_primes_upto,
@@ -283,7 +284,7 @@ def test_chi_k_equals_jacobi_at_odd_n_for_large_k(k):
 def test_chi_rows_with_one_shared_dict_equal_chi_k():
     n = np.concatenate([np.arange(600), _odd_primes_upto(5000)])
     rows = {}
-    block = _chi_rows(range(1, 2001), n, rows)
+    block = [singular._chi(k, n, rows) for k in range(1, 2001)]
     for k in range(1, 2001):  # even k and k with a squared prime among them
         assert block[k - 1].tobytes() == chi_k(k, n).tobytes(), k
     assert sorted(rows) == _odd_primes_upto(2000).tolist()  # one gathered row per prime
@@ -763,6 +764,71 @@ def test_tail_plus_partial_reconstructs_full_value():
     for k in (1, 2, 5):
         full = singular_series_lmethod(k, 1e-7)
         assert tail_phi(k, 101, 1e-7) + dirichlet_partial(k, 101) == pytest.approx(full, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the bulk lmethod route
+
+
+@st.composite
+def ascending_ks(draw):
+    """An ascending k set: a first k, then steps of 1 (runs) or more (gaps)."""
+    return np.cumsum([draw(st.integers(1, 3000))] + draw(st.lists(st.integers(1, 60), max_size=30)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(ks=ascending_ks())
+@example(ks=np.array([9, 25, 49]))  # squares of the primes up to sqrt(max ks)
+@example(ks=np.array([2, 4, 8]))  # no odd prime at all
+@example(ks=np.array([1]))
+def test_odd_prime_factors_are_those_of_each_k(ks):
+    assert singular._odd_prime_factors(ks) == sorted({p for k in ks.tolist() for p, _ in factorize(k) if p > 2})
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ks=ascending_ks(),
+    chunk=st.integers(1, 8),
+    q1=st.sampled_from([None, 1, 9, 60]),
+    tol=st.sampled_from([1e-2, 1e-4]),
+)
+@example(ks=np.array([1]), chunk=singular._LMETHOD_CHUNK, q1=None, tol=1e-4)  # a single k
+@example(ks=np.array([1]), chunk=singular._LMETHOD_CHUNK, q1=9, tol=1e-4)
+@example(ks=np.array([1000]), chunk=1, q1=None, tol=1e-4)  # a single k above 1
+@example(ks=np.arange(2, 60, 3), chunk=4, q1=None, tol=1e-4)  # first k above 1, chunks of a gapped run
+@example(  # two chunks of the module's own size, the second a gapped tail
+    ks=np.concatenate([np.arange(3, singular._LMETHOD_CHUNK + 3), np.arange(singular._LMETHOD_CHUNK + 9, 2400, 7)]),
+    chunk=singular._LMETHOD_CHUNK,
+    q1=9,
+    tol=1e-2,
+)
+def test_lmethod_bulk_equals_the_per_k_route(ks, chunk, q1, tol):
+    with mock.patch.object(singular, "_LMETHOD_CHUNK", chunk):
+        if q1 is None:
+            got = singular._lmethod_bulk(ks, tol)
+            want = [singular_series_lmethod(k, tol) for k in ks.tolist()]
+        else:
+            mu, phi = build_mobius_phi_tables(q1)
+            q = np.arange(1, q1 + 1, 2)
+            got = singular._lmethod_bulk(ks, tol, q, mu[q] / phi[q])
+            want = [tail_phi(k, q1, tol, mu=mu, phi=phi) for k in ks.tolist()]
+    assert got.tolist() == want
+
+
+def test_lmethod_bulk_peak_is_within_its_count(largest_counts):
+    y = 4 * singular._LMETHOD_CHUNK
+    singular._primes_upto(10**5)  # the cached sieve is not the route's allocation
+    ks = np.arange(1, y + 1)
+    tracemalloc.start()
+    try:
+        singular._lmethod_bulk(ks, 1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    points = largest_counts["chi and factor"] // (24 * singular._LMETHOD_BLOCK)
+    # beside the rows and blocks of one chunk: the class numbers and the output, 12 bytes a k, and
+    # the chunk's points, SL factor table and its index, 40 bytes a point
+    assert peak - 12 * y - 40 * points <= largest_counts["Legendre rows "] + largest_counts["chi and factor"]
 
 
 # ---------------------------------------------------------------------------
