@@ -22,6 +22,7 @@ from .arith import mobius_phi
 from .errors import VerificationError
 from .expsum import (
     ArcPoint,
+    _check_modulus,
     _pv_bound,
     _tau_bars,
     build_character_table,
@@ -108,8 +109,8 @@ def cmd_sigma(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.monotonic()
     cfg = SingularCfg(method=args.method, euler_cutoff=args.p, tol=args.tol)
+    os.makedirs(args.out, exist_ok=True)  # before the sweep, so an --out that cannot be made fails at once
     result = run_sweep(args.x, args.y, cfg)
-    os.makedirs(args.out, exist_ok=True)
     s = result.summary
     if args.format != "json":
         write_errors_csv(result, os.path.join(args.out, "errors.csv"))
@@ -193,6 +194,7 @@ def check_pv(q_max: int) -> bool:
     """
     if q_max < 2:
         raise ValueError(f"check pv: --qmax must be >= 2, got {q_max}")
+    _check_modulus(q_max, "check pv: --qmax")  # before the walk over every smaller q
     worst_q, worst_excess = 0, 0.0
     ok = True
     for q in range(2, q_max + 1):
@@ -265,6 +267,8 @@ def check_gauss(q_max: int) -> bool:
 
 
 def check_sandwich(k_max: int, tol: float) -> bool:
+    if k_max < 1:
+        raise ValueError(f"check sandwich: --kmax must be >= 1, got {k_max}")
     bad = sandwich_violations(k_max, tol)
     ok = not bad
     print(f"sandwich: squarefree k <= {k_max} at tol {tol:g}, {len(bad)} violations -> {'ok' if ok else 'FAIL'}")
@@ -357,7 +361,7 @@ def run(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, MemoryError, IndexError) as exc:
+    except (ValueError, MemoryError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

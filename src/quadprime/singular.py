@@ -48,8 +48,8 @@ _SUM_CHUNK = 1 << 20
 _prime_cache: dict[str, object] = {"table": None}
 
 
-def _primes_upto(limit: int) -> np.ndarray:
-    """Shared ascending-prime array; grows monotonically, slices served by bisection.
+def _odd_primes_upto(limit: int) -> np.ndarray:
+    """The odd primes <= limit, ascending, sliced from a shared sieve that grows monotonically.
 
     A growing sieve is checked against the memory budget; a cached slice is not.
     """
@@ -58,11 +58,7 @@ def _primes_upto(limit: int) -> np.ndarray:
         table = build_prime_table(limit)
         _prime_cache["table"] = table
     primes = table.primes
-    return primes[: np.searchsorted(primes, limit, side="right")]
-
-
-def _odd_primes_upto(limit: int) -> np.ndarray:
-    return _primes_upto(limit)[1:]  # drop 2
+    return primes[1 : np.searchsorted(primes, limit, side="right")]  # from 1: drop 2
 
 
 @dataclass
@@ -119,6 +115,18 @@ def _legendre_table(p: int) -> np.ndarray:
     return t
 
 
+def _legendre_rows(primes, n) -> dict:
+    """{p: _legendre_table(p)[n % p]} for each odd prime p of primes: the rows _chi reads.
+
+    The rows are counted before the first is built, an int8 row per prime
+    with its array header and dict slot as 128 bytes; each table mod p keeps
+    its own check.
+    """
+    points = np.size(n)
+    _check_budget((points + 128) * len(primes), f"Legendre rows for {len(primes)} primes at {points} points")
+    return {p: _legendre_table(p)[n % p] for p in primes}
+
+
 # the sign s(n) of chi_k at n mod 8, row [m % 4 // 2][e % 2] for k = 2^e m, m odd (see chi_k)
 _CHI_SIGN = np.array(
     [
@@ -142,25 +150,25 @@ def chi_k(k: int, n):
     sign is -1 exactly when n = 3 mod 4 and m = 1 mod 4, and (2/n)^e is -1
     exactly when e is odd and n = +-3 mod 8.  So chi_k is read from the sign
     row at n mod 8 and one Legendre row per prime of m at n mod p, and costs
-    the same for every k of the same shape, however large.
+    the same for every k of the same shape, however large.  The rows are
+    those of k's own odd primes, built by _legendre_rows.
     """
-    chi = _chi(k, n, {})
+    chi = _chi(k, n, _legendre_rows([p for p, _ in factorize(k) if p > 2], n))
     return chi if isinstance(n, np.ndarray) else int(chi)
 
 
 def _chi(k: int, n, rows: dict):
-    """The body of chi_k, reading (n/p) from rows[p] = _legendre_table(p)[n % p], gathered on first use.
+    """The body of chi_k, reading (n/p) from rows[p] = _legendre_table(p)[n % p] for each odd prime p of k.
 
-    chi_k passes a fresh dict; a caller that reads chi_k for many k passes
-    one dict, so each prime's row is gathered once.  Its n may then be any
-    prefix of the n the rows were gathered at.
+    The caller builds the rows with _legendre_rows; a missing row is a
+    KeyError.  A caller that reads chi_k for many k builds one dict for the
+    odd primes of all of them, and its n may then be any prefix of the n
+    the rows were built at.
     """
     e = (k & -k).bit_length() - 1
     m = k >> e
     chi = _CHI_SIGN[m % 4 // 2, e % 2][n & 7]  # n mod 8, without an integer division
     for p, a in factorize(m):
-        if p not in rows:
-            rows[p] = _legendre_table(p)[n % p]
         leg = rows[p]
         if isinstance(n, np.ndarray):
             leg = leg[: len(n)]
@@ -203,8 +211,8 @@ def _bulk_product(y: int, cutoff: int, factor) -> np.ndarray:
       the primes above _FAR_RATIO (y + 1) (measured: the two cost the same
       near p = 2 to 4 (y + 1) for y = 10^4 and 10^5, below 2 (y + 1) for y <= 1000).
 
-    The Legendre rows of _chi check the budget themselves; a cutoff too far
-    to sieve is refused by the sieve's check.
+    A far block's Legendre rows are counted again by _legendre_rows; a
+    cutoff too far to sieve is refused by the sieve's check.
     """
     _check_budget(8 * (y + 1), f"bulk product over k <= {y}")
     primes = _odd_primes_upto(cutoff)
@@ -251,18 +259,20 @@ def _multiply_square_rows(acc: np.ndarray, primes: np.ndarray, factor) -> None:
 def _multiply_far_rows(acc: np.ndarray, primes: np.ndarray, factor) -> None:
     """acc[k] *= factor(p, chi_k(p)) for each p of primes in ascending order, k = 1..len(acc)-1.
 
-    The primes go in blocks of _FAR_BLOCK.  Each block reads chi_k through
-    _chi from its own dict of Legendre rows, then gathers the factors from
-    _factor_table and multiplies them into acc[k] left to right, as np.prod
-    does.  Block sizes count primes, not cells: _chi costs a call per k and
-    block, so small blocks are slow at large y.
+    The primes go in blocks of _FAR_BLOCK.  Each block builds the Legendre
+    rows of every odd prime < len(acc), the odd primes of all its k, at its
+    own primes, reads chi_k through _chi from them, then gathers the factors
+    from _factor_table and multiplies them into acc[k] left to right, as
+    np.prod does.  Block sizes count primes, not cells: _chi costs a call
+    per k and block, so small blocks are slow at large y.
     """
     for start in range(0, len(primes), _FAR_BLOCK):
         ps = primes[start : start + _FAR_BLOCK]
         table, at = _factor_table(ps, factor)
-        rows = {}
+        rows = _legendre_rows(_odd_primes_upto(len(acc) - 1).tolist(), ps)
         for k in range(1, len(acc)):
             acc[k] = np.prod(table[at + _chi(k, ps, rows)], initial=acc[k])
+        del rows  # so the next block's rows are not built beside these
 
 
 def _prime_product(k: int, cutoff: int, factor) -> float:
@@ -511,19 +521,6 @@ _LMETHOD_CHUNK = 2048  # k per chunk of _lmethod_bulk: at least the 1,824 square
 _LMETHOD_BLOCK = 16  # k per block of a chunk: 32 was no faster at the bench size and peaked 0.6 MB higher
 
 
-def _odd_prime_factors(ks: np.ndarray) -> list[int]:
-    """The odd primes that divide some k of the ascending int64 array ks, ascending.
-
-    Once the primes up to sqrt(max ks) are divided out of a k, 1 or one prime is left.
-    """
-    small = _primes_upto(math.isqrt(int(ks[-1])))
-    m = ks.copy()
-    for p in small.tolist():
-        while len(hit := np.flatnonzero(m % p == 0)):
-            m[hit] //= p
-    return small[1:][(ks[:, None] % small[1:] == 0).any(axis=0)].tolist() + sorted(set(m[m > 2].tolist()))
-
-
 def _lmethod_bulk(ks: np.ndarray, tol: float, q=None, weights=None) -> np.ndarray:
     """singular_series_lmethod(k, tol) - sum(weights chi_k(q)) for each k of the ascending int64 array ks, bit for bit.
 
@@ -532,14 +529,14 @@ def _lmethod_bulk(ks: np.ndarray, tol: float, q=None, weights=None) -> np.ndarra
     _class_numbers pass and each k's SL cutoff from _sl_cutoff(tol L/2), as
     in singular_series_lmethod.  The k go in ascending chunks of
     _LMETHOD_CHUNK, each with one dict of Legendre rows for the odd primes
-    of its own k, at the q and then the odd primes up to its largest
-    cutoff; so the rows do not grow with y.  Within a chunk the k go in
-    blocks of _LMETHOD_BLOCK in order of cutoff, so a block reads chi only
-    up to its own largest cutoff.  Row i of a block's factor matrix holds
-    sl_product's factors for k_i in order, from _sl_factor at chi = -1, 0,
-    1, then exact 1.0s past k_i's cutoff, where chi is set to 0; so np.prod
-    along it is sl_product's float, and np.sum along a row of
-    dirichlet_partial's terms is its float too.
+    of its own k, from the factorize that _chi walks, at the q and then the
+    odd primes up to its largest cutoff; so the rows do not grow with y.
+    Within a chunk the k go in blocks of _LMETHOD_BLOCK in order of cutoff,
+    so a block reads chi only up to its own largest cutoff.  Row i of a
+    block's factor matrix holds sl_product's factors for k_i in order, from
+    _sl_factor at chi = -1, 0, 1, then exact 1.0s past k_i's cutoff, where
+    chi is set to 0; so np.prod along it is sl_product's float, and np.sum
+    along a row of dirichlet_partial's terms is its float too.
     """
     if q is None:
         q, weights = np.empty(0, dtype=np.int64), np.empty(0)
@@ -554,10 +551,7 @@ def _lmethod_bulk(ks: np.ndarray, tol: float, q=None, weights=None) -> np.ndarra
         # per cell the int8 chi, a bool mask, an int64 index and a float64 factor or term: 18 bytes, counted as 24
         _check_budget(24 * _LMETHOD_BLOCK * len(n), f"chi and factor blocks of {_LMETHOD_BLOCK} x {len(n)}")
         factors, at = _factor_table(primes, _sl_factor)
-        ps = _odd_prime_factors(chunk)
-        # an int8 row per prime, with its array header and dict slot counted as 128 bytes
-        _check_budget((len(n) + 128) * len(ps), f"Legendre rows for {len(ps)} primes at {len(n)} points")
-        rows = {p: _legendre_table(p)[n % p] for p in ps}
+        rows = _legendre_rows(sorted({p for k in chunk.tolist() for p, _ in factorize(k) if p > 2}), n)
         order = np.argsort(cutoffs, kind="stable")
         for idx in np.split(order, range(_LMETHOD_BLOCK, len(order), _LMETHOD_BLOCK)):
             cut = cutoffs[idx]
@@ -572,7 +566,7 @@ def _lmethod_bulk(ks: np.ndarray, tol: float, q=None, weights=None) -> np.ndarra
                 j = np.argmin(s > 0.0)
                 raise VerificationError(f"singular_series_lmethod: S({chunk[idx[j]]}) came out non-positive ({s[j]})")
             out[start + idx] = s - np.sum(weights * chi[:, : len(q)], axis=1)
-        del rows  # so the next chunk's rows are not gathered beside these
+        del rows  # so the next chunk's rows are not built beside these
     return out
 
 

@@ -78,6 +78,20 @@ def test_sweep_json_layout(tmp_path, capsys):
     assert data["moments"]["count_squarefree"] == 31
 
 
+def test_sweep_out_naming_a_file_fails_before_the_sweep(tmp_path, monkeypatch, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+
+    def no_sweep(*args):
+        raise AssertionError("run_sweep ran before --out was made")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    assert run(["sweep", "--x", "10", "--y", "50", "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_sweep_deterministic_across_runs(tmp_path, capsys):
     blobs = []
     for tag in ("a", "b"):
@@ -213,6 +227,17 @@ def test_check_suites_reject_an_empty_modulus_range(argv, capsys):
     assert "ok" not in captured.out
 
 
+def test_check_pv_refuses_a_qmax_over_the_ceiling_before_any_walk(monkeypatch, capsys):
+    def no_walk(*args):
+        raise AssertionError("pv_check ran before --qmax was checked")
+
+    monkeypatch.setattr(cli, "pv_check", no_walk)
+    assert run(["check", "pv", "--qmax", "10001"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: check pv: --qmax: q = 10001 over the ceiling 10000\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("x, k", [("3", "-20"), ("100000", "0"), ("0", "5")])
 def test_psi_checks_its_arguments_before_the_table(x, k, monkeypatch, capsys):
     monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", "100000")  # a table to x^2 + k would not fit
@@ -230,6 +255,8 @@ def test_usage_errors_exit_1(capsys):
     assert run(["singular", "--k", "-3"]) == 1  # rejected by validation
     assert run(["check", "nope"]) == 1
     capsys.readouterr()
+    assert run(["check", "sandwich", "--kmax", "0"]) == 1
+    assert capsys.readouterr().err == "error: check sandwich: --kmax must be >= 1, got 0\n"
 
 
 def test_unknown_command_exits_1(capsys):

@@ -283,11 +283,20 @@ def test_chi_k_equals_jacobi_at_odd_n_for_large_k(k):
 
 def test_chi_rows_with_one_shared_dict_equal_chi_k():
     n = np.concatenate([np.arange(600), _odd_primes_upto(5000)])
-    rows = {}
+    rows = singular._legendre_rows(_odd_primes_upto(2000).tolist(), n)
     block = [singular._chi(k, n, rows) for k in range(1, 2001)]
     for k in range(1, 2001):  # even k and k with a squared prime among them
         assert block[k - 1].tobytes() == chi_k(k, n).tobytes(), k
-    assert sorted(rows) == _odd_primes_upto(2000).tolist()  # one gathered row per prime
+
+
+@pytest.mark.parametrize("k, missing", [(3, 3), (2 * 5 * 7, 7), (9 * 11, 3), (4 * 13**2, 13)])
+def test_chi_refuses_a_missing_row(k, missing):
+    n = np.arange(1, 200)
+    ps = [p for p, _ in factorize(k) if p > 2]
+    rows = singular._legendre_rows([p for p in ps if p != missing], n)
+    with pytest.raises(KeyError):
+        singular._chi(k, n, rows)
+    assert missing not in rows  # _chi builds no row behind its caller's back
 
 
 def test_legendre_table_checks_the_budget(monkeypatch):
@@ -399,7 +408,7 @@ def test_sl_bulk_equals_gather_oracle_across_the_row_width(y, tol):
 
 def test_euler_bulk_allocates_no_length_y_temporary():
     y, cutoff = 200_000, 2000
-    singular._primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
+    singular._odd_primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
     tracemalloc.start()
     try:
         singular_series_euler_bulk(y, cutoff)
@@ -413,7 +422,7 @@ def test_euler_bulk_allocates_no_length_y_temporary():
 def test_sl_bulk_allocates_no_length_y_temporary():
     y, tol = 200_000, 2e-4
     cutoff = _sl_cutoff(tol)  # 2052
-    singular._primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
+    singular._odd_primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
     tracemalloc.start()
     try:
         sl_product_bulk(y, tol)
@@ -427,7 +436,7 @@ def test_sl_bulk_allocates_no_length_y_temporary():
 @pytest.mark.parametrize("cutoff", [3, 97, 8191, 19997])
 def test_bulk_row_peak_is_within_its_count(cutoff):
     y = 10**5
-    singular._primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
+    singular._odd_primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
     tracemalloc.start()
     try:
         singular_series_euler_bulk(y, cutoff)
@@ -474,7 +483,7 @@ def test_far_rows_are_exact_past_int64_squares():
     ],
 )
 def test_far_row_peak_is_within_its_count(bulk, y, arg, monkeypatch):
-    singular._primes_upto(2 * 10**6)  # the cached sieve is not the kernel's allocation
+    singular._odd_primes_upto(2 * 10**6)  # the cached sieve is not the kernel's allocation
     counted = {}
     check = singular._check_budget
     monkeypatch.setattr(singular, "_check_budget", lambda n, what: (counted.setdefault(what[:11], n), check(n, what)))
@@ -489,7 +498,7 @@ def test_far_row_peak_is_within_its_count(bulk, y, arg, monkeypatch):
 
 def test_bulk_rows_of_primes_far_above_y_cost_what_y_does():
     y, cutoff = 100, 200_000
-    singular._primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
+    singular._odd_primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
     tracemalloc.start()
     try:
         singular_series_euler_bulk(y, cutoff)
@@ -500,7 +509,7 @@ def test_bulk_rows_of_primes_far_above_y_cost_what_y_does():
 
 
 def test_bulk_product_checks_the_budget_once_per_call(monkeypatch):
-    singular._primes_upto(10**4)  # a growing sieve checks the budget too
+    singular._odd_primes_upto(10**4)  # a growing sieve checks the budget too
     checks = []
 
     def counting_check(nbytes, what):
@@ -776,15 +785,6 @@ def ascending_ks(draw):
     return np.cumsum([draw(st.integers(1, 3000))] + draw(st.lists(st.integers(1, 60), max_size=30)))
 
 
-@settings(max_examples=50, deadline=None)
-@given(ks=ascending_ks())
-@example(ks=np.array([9, 25, 49]))  # squares of the primes up to sqrt(max ks)
-@example(ks=np.array([2, 4, 8]))  # no odd prime at all
-@example(ks=np.array([1]))
-def test_odd_prime_factors_are_those_of_each_k(ks):
-    assert singular._odd_prime_factors(ks) == sorted({p for k in ks.tolist() for p, _ in factorize(k) if p > 2})
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     ks=ascending_ks(),
@@ -794,6 +794,8 @@ def test_odd_prime_factors_are_those_of_each_k(ks):
 )
 @example(ks=np.array([1]), chunk=singular._LMETHOD_CHUNK, q1=None, tol=1e-4)  # a single k
 @example(ks=np.array([1]), chunk=singular._LMETHOD_CHUNK, q1=9, tol=1e-4)
+@example(ks=np.array([9, 25, 49]), chunk=singular._LMETHOD_CHUNK, q1=None, tol=1e-4)  # odd primes squared only
+@example(ks=np.array([2, 4, 8]), chunk=singular._LMETHOD_CHUNK, q1=None, tol=1e-4)  # no odd prime at all
 @example(ks=np.array([1000]), chunk=1, q1=None, tol=1e-4)  # a single k above 1
 @example(ks=np.arange(2, 60, 3), chunk=4, q1=None, tol=1e-4)  # first k above 1, chunks of a gapped run
 @example(  # two chunks of the module's own size, the second a gapped tail
@@ -817,7 +819,7 @@ def test_lmethod_bulk_equals_the_per_k_route(ks, chunk, q1, tol):
 
 def test_lmethod_bulk_peak_is_within_its_count(largest_counts):
     y = 4 * singular._LMETHOD_CHUNK
-    singular._primes_upto(10**5)  # the cached sieve is not the route's allocation
+    singular._odd_primes_upto(10**5)  # the cached sieve is not the route's allocation
     ks = np.arange(1, y + 1)
     tracemalloc.start()
     try:
