@@ -36,7 +36,7 @@ from .expsum import (
     weyl_ratio,
 )
 from .moments import _check_psi_args, phi_moment, psi_value, run_sweep, write_errors_csv, write_moments_csv
-from .sieve import build_lambda_table, build_prime_table, build_squarefree_table
+from .sieve import _check_budget, build_lambda_table, build_prime_table, build_squarefree_table
 from .singular import SingularCfg, sandwich_violations, sigma_q, singular_series
 
 # Max |s2| / Weyl envelope over the seeded calibration grid (seed 0, see check_weyl).
@@ -110,6 +110,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.monotonic()
     cfg = SingularCfg(method=args.method, euler_cutoff=args.p, tol=args.tol)
     os.makedirs(args.out, exist_ok=True)  # before the sweep, so an --out that cannot be made fails at once
+    if args.format == "json":  # sweep.json's five per-k lists: 144 bytes a k by tracemalloc, beside the sweep's arrays
+        _check_budget(144 * args.y, f"sweep.json lists over k <= {args.y}")
     result = run_sweep(args.x, args.y, cfg)
     s = result.summary
     if args.format != "json":

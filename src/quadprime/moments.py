@@ -9,7 +9,9 @@ Determinism contract: a sweep's output is bit-identical across runs.  psi
 accumulation is single-threaded: per block of k, one ascending-n array add
 per n, so every k gets the same additions in the same order whatever the
 block size, and every moment is reduced with math.fsum (exact summation) in
-ascending k.
+ascending k.  fsum is correctly rounded (Shewchuk's exact partial sums), so
+the second moment is the same float whether its squares arrive as one list
+or, as run_sweep feeds them, a block of k at a time.
 
 errors.csv holds the bytes csv.writer gives for format(v, ".12g"), but is
 formatted in numpy, a block of rows at a time.  A float a = |v| in [1e-4,
@@ -24,6 +26,7 @@ format() (1,112 of the 1,920,000 floats of the x = 800, y = 640000 sweep).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -35,7 +38,7 @@ from .singular import SingularCfg, _lmethod_bulk, singular_series_euler_bulk
 from .singular import singular_series_lmethod  # noqa: F401  perfbench traces quadprime.moments.singular_series_lmethod
 
 EXCEPTIONAL_B_GRID = (0.5, 1.0, 1.5, 2.0)
-_CSV_BLOCK = 1 << 15
+_CSV_BLOCK = 1 << 13  # k per block of errors.csv (a 3.0 MB peak, 11.3 at 1 << 15) and of run_sweep's summary
 _PSI_BLOCK = 1 << 15
 
 
@@ -107,6 +110,13 @@ def run_sweep(x: int, y: int, cfg: SingularCfg) -> SweepResult:
     failing) if y is outside [x^2/(log x)^3, x^2].  The Lambda table, the psi,
     main-term and error arrays (24 (y + 1) bytes together), each table of the
     main term and the squarefree flags are checked against the budget first.
+
+    The error array is computed in place, and the summary in one pass over
+    blocks of _CSV_BLOCK k: each block's squarefree errors are copied, made
+    absolute and counted against the thresholds, then squared and fed to one
+    fsum.  So past the Lambda table and the main term's rows the sweep holds
+    only its three arrays, the flags and one block; the floats and counts are
+    those of whole-array arithmetic.
     """
     if x < 2:
         raise ValueError(f"run_sweep: x must be >= 2, got {x}")
@@ -128,14 +138,22 @@ def run_sweep(x: int, y: int, cfg: SingularCfg) -> SweepResult:
     else:
         sing = np.concatenate([[0.0], _lmethod_bulk(np.arange(1, y + 1), cfg.tol)])
 
-    error = psi - sing * float(x)  # 0 at index 0, where psi and sing are 0
+    error = np.multiply(sing, float(x))
+    np.subtract(psi, error, out=error)  # psi - sing x, with no temporary; 0 at index 0, where psi and sing are 0
     sf = build_squarefree_table(y)
 
-    sf_errors = error[1:][sf[1:]]  # a copy, squared in place once the exceptional sets are counted
-    exceptional = {
-        b: int(np.count_nonzero(np.abs(sf_errors) > _exceptional_threshold(x, b))) for b in EXCEPTIONAL_B_GRID
-    }
-    second_moment = math.fsum(np.square(sf_errors, out=sf_errors).tolist())
+    thresholds = {b: _exceptional_threshold(x, b) for b in EXCEPTIONAL_B_GRID}
+    exceptional = dict.fromkeys(EXCEPTIONAL_B_GRID, 0)
+
+    def squares():
+        for lo in range(1, y + 1, _CSV_BLOCK):
+            block = error[lo : lo + _CSV_BLOCK][sf[lo : lo + _CSV_BLOCK]]  # a copy, made |E| and squared in place
+            np.abs(block, out=block)
+            for b, t in thresholds.items():
+                exceptional[b] += int(np.count_nonzero(block > t))
+            yield np.square(block, out=block).tolist()
+
+    second_moment = math.fsum(itertools.chain.from_iterable(squares()))  # the counts are complete once fsum returns
     count_sf = int(np.count_nonzero(sf))
     normalized = second_moment / (y * float(x) * float(x))
 

@@ -153,22 +153,26 @@ def chi_k(k: int, n):
     the same for every k of the same shape, however large.  The rows are
     those of k's own odd primes, built by _legendre_rows.
     """
-    chi = _chi(k, n, _legendre_rows([p for p, _ in factorize(k) if p > 2], n))
+    factors = factorize(k)
+    chi = _chi(k, factors, n, _legendre_rows([p for p, _ in factors if p > 2], n))
     return chi if isinstance(n, np.ndarray) else int(chi)
 
 
-def _chi(k: int, n, rows: dict):
+def _chi(k: int, factors: list, n, rows: dict):
     """The body of chi_k, reading (n/p) from rows[p] = _legendre_table(p)[n % p] for each odd prime p of k.
 
-    The caller builds the rows with _legendre_rows; a missing row is a
-    KeyError.  A caller that reads chi_k for many k builds one dict for the
-    odd primes of all of them, and its n may then be any prefix of the n
-    the rows were built at.
+    factors is factorize(k), which the caller has already taken to choose
+    its rows; the caller builds the rows with _legendre_rows, and a missing
+    row is a KeyError.  A caller that reads chi_k for many k builds one dict
+    for the odd primes of all of them, and its n may then be any prefix of
+    the n the rows were built at.
     """
     e = (k & -k).bit_length() - 1
     m = k >> e
     chi = _CHI_SIGN[m % 4 // 2, e % 2][n & 7]  # n mod 8, without an integer division
-    for p, a in factorize(m):
+    for p, a in factors:
+        if p == 2:
+            continue
         leg = rows[p]
         if isinstance(n, np.ndarray):
             leg = leg[: len(n)]
@@ -271,7 +275,7 @@ def _multiply_far_rows(acc: np.ndarray, primes: np.ndarray, factor) -> None:
         table, at = _factor_table(ps, factor)
         rows = _legendre_rows(_odd_primes_upto(len(acc) - 1).tolist(), ps)
         for k in range(1, len(acc)):
-            acc[k] = np.prod(table[at + _chi(k, ps, rows)], initial=acc[k])
+            acc[k] = np.prod(table[at + _chi(k, factorize(k), ps, rows)], initial=acc[k])
         del rows  # so the next block's rows are not built beside these
 
 
@@ -529,8 +533,9 @@ def _lmethod_bulk(ks: np.ndarray, tol: float, q=None, weights=None) -> np.ndarra
     _class_numbers pass and each k's SL cutoff from _sl_cutoff(tol L/2), as
     in singular_series_lmethod.  The k go in ascending chunks of
     _LMETHOD_CHUNK, each with one dict of Legendre rows for the odd primes
-    of its own k, from the factorize that _chi walks, at the q and then the
-    odd primes up to its largest cutoff; so the rows do not grow with y.
+    of its own k, at the q and then the odd primes up to its largest cutoff;
+    so the rows do not grow with y.  Each k is factorized once per chunk, and
+    _chi reads the same list the row set was taken from.
     Within a chunk the k go in blocks of _LMETHOD_BLOCK in order of cutoff,
     so a block reads chi only up to its own largest cutoff.  Row i of a
     block's factor matrix holds sl_product's factors for k_i in order, from
@@ -551,14 +556,18 @@ def _lmethod_bulk(ks: np.ndarray, tol: float, q=None, weights=None) -> np.ndarra
         # per cell the int8 chi, a bool mask, an int64 index and a float64 factor or term: 18 bytes, counted as 24
         _check_budget(24 * _LMETHOD_BLOCK * len(n), f"chi and factor blocks of {_LMETHOD_BLOCK} x {len(n)}")
         factors, at = _factor_table(primes, _sl_factor)
-        rows = _legendre_rows(sorted({p for k in chunk.tolist() for p, _ in factorize(k) if p > 2}), n)
+        # each k's factorize list, read by the row set and by _chi: 155-275 bytes a k measured for chunks
+        # of consecutive or squarefree k up to 10^9, counted as 400
+        _check_budget(400 * len(chunk), f"factorizations of {len(chunk)} k")
+        k_factors = [factorize(k) for k in chunk.tolist()]
+        rows = _legendre_rows(sorted({p for f in k_factors for p, _ in f if p > 2}), n)
         order = np.argsort(cutoffs, kind="stable")
         for idx in np.split(order, range(_LMETHOD_BLOCK, len(order), _LMETHOD_BLOCK)):
             cut = cutoffs[idx]
             width = int(np.searchsorted(primes, cut[-1], side="right"))
             chi = np.empty((len(idx), len(q) + width), dtype=np.int8)
-            for i, k in enumerate(chunk[idx].tolist()):
-                chi[i] = _chi(k, n[: len(q) + width], rows)
+            for i, j in enumerate(idx.tolist()):
+                chi[i] = _chi(int(chunk[j]), k_factors[j], n[: len(q) + width], rows)
             c = chi[:, len(q) :]
             c[primes[:width] > cut[:, None]] = 0  # chi = 0 gives a factor of exactly 1.0
             s = np.prod(factors[at[:width] + c], axis=1) / l_exact[idx]

@@ -6,6 +6,7 @@ against an independent computation at a much tighter tolerance.
 """
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -51,3 +52,18 @@ def largest_counts(monkeypatch):
 
     monkeypatch.setattr(singular, "_check_budget", record)
     return counted
+
+
+@pytest.fixture
+def traced_peak():
+    """(f, *args) -> (f(*args), the tracemalloc peak of the call), tracing started and reset before it and stopped after."""
+
+    def peak(f, *args):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            return f(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

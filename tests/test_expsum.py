@@ -361,15 +361,10 @@ def test_pv_check_budget_counts_the_table_peak(monkeypatch):
 
 
 @pytest.mark.parametrize("q", [499, 840, 997, 1024])
-def test_pv_check_peak_fits_its_budget_count(q, monkeypatch):
+def test_pv_check_peak_fits_its_budget_count(q, monkeypatch, traced_peak):
     counted = []
     monkeypatch.setattr(expsum, "_check_budget", lambda nbytes, what: counted.append(nbytes))
-    tracemalloc.start()
-    try:
-        pv_check(q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(pv_check, q)
     conj = _conjugate_indices(cycle_orders(q))
     built = int(np.count_nonzero(np.arange(len(conj)) <= conj))
     assert counted == [33 * built * q]

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,15 +72,10 @@ def test_lambda_builder_rejects_bad_windows():
 
 
 @pytest.mark.parametrize("hi", [10**4, 10**5, 10**6])
-def test_lambda_budget_counts_the_measured_peak(hi, monkeypatch):
+def test_lambda_budget_counts_the_measured_peak(hi, monkeypatch, traced_peak):
     counted = []
     monkeypatch.setattr(sieve, "_check_budget", lambda nbytes, what: counted.append(nbytes))
-    tracemalloc.start()
-    try:
-        build_lambda_table(hi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(build_lambda_table, hi)
     assert peak <= counted[0]
 
 

@@ -8,7 +8,6 @@ cross-checks two package functions against each other).
 
 import cmath
 import math
-import tracemalloc
 from functools import lru_cache
 from unittest import mock
 
@@ -284,7 +283,7 @@ def test_chi_k_equals_jacobi_at_odd_n_for_large_k(k):
 def test_chi_rows_with_one_shared_dict_equal_chi_k():
     n = np.concatenate([np.arange(600), _odd_primes_upto(5000)])
     rows = singular._legendre_rows(_odd_primes_upto(2000).tolist(), n)
-    block = [singular._chi(k, n, rows) for k in range(1, 2001)]
+    block = [singular._chi(k, factorize(k), n, rows) for k in range(1, 2001)]
     for k in range(1, 2001):  # even k and k with a squared prime among them
         assert block[k - 1].tobytes() == chi_k(k, n).tobytes(), k
 
@@ -295,7 +294,7 @@ def test_chi_refuses_a_missing_row(k, missing):
     ps = [p for p, _ in factorize(k) if p > 2]
     rows = singular._legendre_rows([p for p in ps if p != missing], n)
     with pytest.raises(KeyError):
-        singular._chi(k, n, rows)
+        singular._chi(k, factorize(k), n, rows)
     assert missing not in rows  # _chi builds no row behind its caller's back
 
 
@@ -309,13 +308,8 @@ def test_legendre_table_checks_the_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [997, 19997, 999983])
-def test_legendre_table_peak_is_within_its_count(p):
-    tracemalloc.start()
-    try:
-        _legendre_table(p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+def test_legendre_table_peak_is_within_its_count(p, traced_peak):
+    _, peak = traced_peak(_legendre_table, p)
     assert peak <= 6 * p
 
 
@@ -406,43 +400,28 @@ def test_sl_bulk_equals_gather_oracle_across_the_row_width(y, tol):
     assert np.array_equal(sl_product_bulk(y, tol), sl_gather(y, tol))
 
 
-def test_euler_bulk_allocates_no_length_y_temporary():
+def test_euler_bulk_allocates_no_length_y_temporary(traced_peak):
     y, cutoff = 200_000, 2000
     singular._odd_primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
-    tracemalloc.start()
-    try:
-        singular_series_euler_bulk(y, cutoff)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(singular_series_euler_bulk, y, cutoff)
     row_temporaries = 64 * cutoff  # a handful of length-p int64/float64 rows
     assert peak <= 8 * (y + 1) + row_temporaries + (1 << 20)
 
 
-def test_sl_bulk_allocates_no_length_y_temporary():
+def test_sl_bulk_allocates_no_length_y_temporary(traced_peak):
     y, tol = 200_000, 2e-4
     cutoff = _sl_cutoff(tol)  # 2052
     singular._odd_primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
-    tracemalloc.start()
-    try:
-        sl_product_bulk(y, tol)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(sl_product_bulk, y, tol)
     row_temporaries = 64 * cutoff  # a handful of length-p int64/float64 rows
     assert peak <= 8 * (y + 1) + row_temporaries + (1 << 20)
 
 
 @pytest.mark.parametrize("cutoff", [3, 97, 8191, 19997])
-def test_bulk_row_peak_is_within_its_count(cutoff):
+def test_bulk_row_peak_is_within_its_count(cutoff, traced_peak):
     y = 10**5
     singular._odd_primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
-    tracemalloc.start()
-    try:
-        singular_series_euler_bulk(y, cutoff)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(singular_series_euler_bulk, y, cutoff)
     assert peak - 8 * (y + 1) <= 17 * cutoff + 9 * singular._ROW_WIDTH  # each cutoff is prime
 
 
@@ -482,29 +461,19 @@ def test_far_rows_are_exact_past_int64_squares():
         (sl_product_bulk, 30, 1e-6),
     ],
 )
-def test_far_row_peak_is_within_its_count(bulk, y, arg, monkeypatch):
+def test_far_row_peak_is_within_its_count(bulk, y, arg, monkeypatch, traced_peak):
     singular._odd_primes_upto(2 * 10**6)  # the cached sieve is not the kernel's allocation
     counted = {}
     check = singular._check_budget
     monkeypatch.setattr(singular, "_check_budget", lambda n, what: (counted.setdefault(what[:11], n), check(n, what)))
-    tracemalloc.start()
-    try:
-        bulk(y, arg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(bulk, y, arg)
     assert peak - 8 * (y + 1) <= counted["factor rows"]  # the far block's count, over the square rows' here
 
 
-def test_bulk_rows_of_primes_far_above_y_cost_what_y_does():
+def test_bulk_rows_of_primes_far_above_y_cost_what_y_does(traced_peak):
     y, cutoff = 100, 200_000
     singular._odd_primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
-    tracemalloc.start()
-    try:
-        singular_series_euler_bulk(y, cutoff)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(singular_series_euler_bulk, y, cutoff)
     assert peak < 2 * cutoff  # a square row of the largest prime alone peaks at about 17 p
 
 
@@ -817,20 +786,16 @@ def test_lmethod_bulk_equals_the_per_k_route(ks, chunk, q1, tol):
     assert got.tolist() == want
 
 
-def test_lmethod_bulk_peak_is_within_its_count(largest_counts):
+def test_lmethod_bulk_peak_is_within_its_count(largest_counts, traced_peak):
     y = 4 * singular._LMETHOD_CHUNK
     singular._odd_primes_upto(10**5)  # the cached sieve is not the route's allocation
     ks = np.arange(1, y + 1)
-    tracemalloc.start()
-    try:
-        singular._lmethod_bulk(ks, 1e-4)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(singular._lmethod_bulk, ks, 1e-4)
     points = largest_counts["chi and factor"] // (24 * singular._LMETHOD_BLOCK)
-    # beside the rows and blocks of one chunk: the class numbers and the output, 12 bytes a k, and
-    # the chunk's points, SL factor table and its index, 40 bytes a point
-    assert peak - 12 * y - 40 * points <= largest_counts["Legendre rows "] + largest_counts["chi and factor"]
+    chunk = largest_counts["Legendre rows "] + largest_counts["chi and factor"] + largest_counts["factorizations"]
+    # beside the rows, blocks and factorizations of one chunk: the class numbers and the output, 12 bytes
+    # a k, and the chunk's points, SL factor table and its index, 40 bytes a point
+    assert peak - 12 * y - 40 * points <= chunk
 
 
 # ---------------------------------------------------------------------------
