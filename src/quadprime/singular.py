@@ -33,6 +33,7 @@ sum_r sum_{a coprime q} e(-(a/q)(k + r^2)), evaluated in integers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -158,14 +159,14 @@ def chi_k(k: int, n):
     return chi if isinstance(n, np.ndarray) else int(chi)
 
 
-def _chi(k: int, factors: list, n, rows: dict):
+def _chi(k: int, factors, n, rows: dict):
     """The body of chi_k, reading (n/p) from rows[p] = _legendre_table(p)[n % p] for each odd prime p of k.
 
-    factors is factorize(k), which the caller has already taken to choose
-    its rows; the caller builds the rows with _legendre_rows, and a missing
-    row is a KeyError.  A caller that reads chi_k for many k builds one dict
-    for the odd primes of all of them, and its n may then be any prefix of
-    the n the rows were built at.
+    factors yields the (p, a) pairs of factorize(k), which the caller has
+    already taken to choose its rows.  The caller builds the rows with
+    _legendre_rows; a missing row is a KeyError.  A caller that reads chi_k
+    for many k builds one dict for the odd primes of all of them, and its n
+    may then be any prefix of the n the rows were built at.
     """
     e = (k & -k).bit_length() - 1
     m = k >> e
@@ -556,18 +557,24 @@ def _lmethod_bulk(ks: np.ndarray, tol: float, q=None, weights=None) -> np.ndarra
         # per cell the int8 chi, a bool mask, an int64 index and a float64 factor or term: 18 bytes, counted as 24
         _check_budget(24 * _LMETHOD_BLOCK * len(n), f"chi and factor blocks of {_LMETHOD_BLOCK} x {len(n)}")
         factors, at = _factor_table(primes, _sl_factor)
-        # each k's factorize list, read by the row set and by _chi: 155-275 bytes a k measured for chunks
-        # of consecutive or squarefree k up to 10^9, counted as 400
-        _check_budget(400 * len(chunk), f"factorizations of {len(chunk)} k")
-        k_factors = [factorize(k) for k in chunk.tolist()]
-        rows = _legendre_rows(sorted({p for f in k_factors for p, _ in f if p > 2}), n)
+        # factorize(k) for each k, flat (p, a, p, a, ...) with the i-th k's at ends[i]:ends[i + 1]: one
+        # list of ints, 81-136 bytes a k measured (up to 174 while it grows) for chunks of consecutive or
+        # squarefree k up to 10^9, counted as 200.  A list per k costs twice that, and its thousands of
+        # survivors bring a fresh process's first full garbage collection (30 ms) into the call.
+        _check_budget(200 * len(chunk), f"factorizations of {len(chunk)} k")
+        flat, ends = [], [0]
+        for k in chunk.tolist():
+            flat.extend(itertools.chain.from_iterable(factorize(k)))
+            ends.append(len(flat))
+        rows = _legendre_rows(sorted(set(flat[::2]) - {2}), n)
         order = np.argsort(cutoffs, kind="stable")
         for idx in np.split(order, range(_LMETHOD_BLOCK, len(order), _LMETHOD_BLOCK)):
             cut = cutoffs[idx]
             width = int(np.searchsorted(primes, cut[-1], side="right"))
             chi = np.empty((len(idx), len(q) + width), dtype=np.int8)
             for i, j in enumerate(idx.tolist()):
-                chi[i] = _chi(int(chunk[j]), k_factors[j], n[: len(q) + width], rows)
+                f = flat[ends[j] : ends[j + 1]]
+                chi[i] = _chi(int(chunk[j]), zip(f[::2], f[1::2]), n[: len(q) + width], rows)
             c = chi[:, len(q) :]
             c[primes[:width] > cut[:, None]] = 0  # chi = 0 gives a factor of exactly 1.0
             s = np.prod(factors[at[:width] + c], axis=1) / l_exact[idx]

@@ -7,6 +7,7 @@ cross-checks two package functions against each other).
 """
 
 import cmath
+import gc
 import math
 from functools import lru_cache
 from unittest import mock
@@ -784,6 +785,22 @@ def test_lmethod_bulk_equals_the_per_k_route(ks, chunk, q1, tol):
             got = singular._lmethod_bulk(ks, tol, q, mu[q] / phi[q])
             want = [tail_phi(k, q1, tol, mu=mu, phi=phi) for k in ks.tolist()]
     assert got.tolist() == want
+
+
+def test_lmethod_bulk_holds_no_container_per_k(monkeypatch):
+    ks = np.arange(1, singular._LMETHOD_CHUNK + 1)
+    singular._lmethod_bulk(ks, 1e-4)  # the caches are not the route's objects
+    build, held = singular._legendre_rows, []
+
+    def rows(primes, n):
+        held.append(len(gc.get_objects()))
+        return build(primes, n)
+
+    monkeypatch.setattr(singular, "_legendre_rows", rows)
+    before = len(gc.get_objects())
+    singular._lmethod_bulk(ks, 1e-4)
+    # a list per k would add 2048 objects for the collector to carry while the chunk's rows are read
+    assert held[0] - before < 64
 
 
 def test_lmethod_bulk_peak_is_within_its_count(largest_counts, traced_peak):
