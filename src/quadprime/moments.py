@@ -111,12 +111,10 @@ def run_sweep(x: int, y: int, cfg: SingularCfg) -> SweepResult:
     main-term and error arrays (24 (y + 1) bytes together), each table of the
     main term and the squarefree flags are checked against the budget first.
 
-    The error array is computed in place, and the summary in one pass over
-    blocks of _CSV_BLOCK k: each block's squarefree errors are copied, made
-    absolute and counted against the thresholds, then squared and fed to one
-    fsum.  So past the Lambda table and the main term's rows the sweep holds
-    only its three arrays, the flags and one block; the floats and counts are
-    those of whole-array arithmetic.
+    The error is computed in place and the summary a block of _CSV_BLOCK k at
+    a time (|E| counted against each threshold, then squared into one fsum),
+    so past the Lambda table and the main term the sweep holds its three
+    arrays, the flags and one block, with the floats of whole-array arithmetic.
     """
     if x < 2:
         raise ValueError(f"run_sweep: x must be >= 2, got {x}")

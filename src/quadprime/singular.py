@@ -557,9 +557,8 @@ def _lmethod_bulk(ks: np.ndarray, tol: float, q=None, weights=None) -> np.ndarra
         # per cell the int8 chi, a bool mask, an int64 index and a float64 factor or term: 18 bytes, counted as 24
         _check_budget(24 * _LMETHOD_BLOCK * len(n), f"chi and factor blocks of {_LMETHOD_BLOCK} x {len(n)}")
         factors, at = _factor_table(primes, _sl_factor)
-        # factorize(k) for each k, flat (p, a, p, a, ...) with the i-th k's at ends[i]:ends[i + 1]: one
-        # list of ints, 81-136 bytes a k measured (up to 174 while it grows) for chunks of consecutive or
-        # squarefree k up to 10^9, counted as 200.  A list per k costs twice that, and its thousands of
+        # factorize(k) of the i-th k at flat[ends[i]:ends[i + 1]] as p, a, p, a, ...: 81-136 bytes a k (174 as
+        # the list grows) for k <= 10^9, counted as 200.  A list per k costs twice that, and its thousands of
         # survivors bring a fresh process's first full garbage collection (30 ms) into the call.
         _check_budget(200 * len(chunk), f"factorizations of {len(chunk)} k")
         flat, ends = [], [0]

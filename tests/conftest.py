@@ -2,7 +2,9 @@
 
 The package takes L(k) from the class number formula; these references take
 it from the direct sum l_value instead, so a pinned value is also checked
-against an independent computation at a much tighter tolerance.
+against an independent computation at a much tighter tolerance.  Two
+fixtures measure memory: the byte counts of the budget checks, and the
+tracemalloc peak of a call.
 """
 
 import math
@@ -11,7 +13,7 @@ from functools import lru_cache
 
 import pytest
 
-from quadprime import singular
+from quadprime import moments, sieve, singular
 from quadprime.sieve import build_squarefree_table
 from quadprime.singular import dirichlet_partial, l_value, sl_product
 
@@ -42,15 +44,16 @@ def phi_moment_via_l_value(s_via_l_value):
 
 @pytest.fixture
 def largest_counts(monkeypatch):
-    """The largest byte count that singular's budget checks asked for, keyed by the first 14 characters of each check."""
+    """The largest byte count that the budget checks asked for, keyed by the first 14 characters of each check."""
     counted = {}
-    check = singular._check_budget
+    check = sieve._check_budget
 
     def record(nbytes, what):
         counted[what[:14]] = max(nbytes, counted.get(what[:14], 0))
         check(nbytes, what)
 
-    monkeypatch.setattr(singular, "_check_budget", record)
+    for module in (sieve, singular, moments):
+        monkeypatch.setattr(module, "_check_budget", record)
     return counted
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadprime import moments, sieve, singular
+from quadprime import moments, singular
 from quadprime.moments import (
     MomentSummary,
     SweepResult,
@@ -215,6 +215,8 @@ def test_sweep_budget_reaches_the_euler_prime_sieve(monkeypatch):
     assert singular._prime_cache["table"] is None
 
 
+# At these sweeps a block summed by np.sum before the fsum gives another
+# float at every block size above 1; most sweeps hide that in the last bit.
 @pytest.mark.parametrize(
     "x, y, block",
     [
@@ -224,8 +226,6 @@ def test_sweep_budget_reaches_the_euler_prime_sieve(monkeypatch):
         (140, 2 * 2**13 + 1001, None),  # the module's block: two full and a ragged tail
     ],
 )
-# At these sweeps a block summed by np.sum before the fsum gives another
-# float at every block size above 1; most sweeps hide that in the last bit.
 def test_sweep_summary_does_not_depend_on_the_block(x, y, block, cfg, monkeypatch):
     if block is not None:
         monkeypatch.setattr(moments, "_CSV_BLOCK", block)
@@ -237,32 +237,17 @@ def test_sweep_summary_does_not_depend_on_the_block(x, y, block, cfg, monkeypatc
         assert r.summary.exceptional[b] == int(np.count_nonzero(np.abs(sf_errors) > x / math.log(x) ** b)), b
 
 
-@pytest.fixture
-def sweep_counts(monkeypatch):
-    """The byte counts of every budget check a sweep makes, keyed by the first 14 characters of each."""
-    counted = {}
-    check = sieve._check_budget
-
-    def record(nbytes, what):
-        counted[what[:14]] = max(nbytes, counted.get(what[:14], 0))
-        check(nbytes, what)
-
-    for module in (sieve, singular, moments):
-        monkeypatch.setattr(module, "_check_budget", record)
-    return counted
-
-
 @pytest.mark.parametrize("x, y", [(640, 640**2), (20, 200_000)])  # Lambda-bound (y = x^2), then array-bound
-def test_sweep_peak_is_within_its_counts(x, y, cfg, sweep_counts, traced_peak):
+def test_sweep_peak_is_within_its_counts(x, y, cfg, largest_counts, traced_peak):
     singular._odd_primes_upto(max(cfg.euler_cutoff, x))  # the cached sieve is not the sweep's allocation
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # y > x^2 in the array-bound shape
         _, peak = traced_peak(run_sweep, x, y, cfg)
-    arrays = sweep_counts["psi, main-term"]  # psi, S and E: psi lives beside the Lambda table, then the main term
+    arrays = largest_counts["psi, main-term"]  # psi, S and E: psi lives beside the Lambda table, then the main term
     counted = max(
-        arrays // 3 + sweep_counts["Lambda table o"],
-        arrays // 3 + sweep_counts["bulk product o"] + sweep_counts["factor rows ov"],
-        arrays + sweep_counts["squarefree tab"],
+        arrays // 3 + largest_counts["Lambda table o"],
+        arrays // 3 + largest_counts["bulk product o"] + largest_counts["factor rows ov"],
+        arrays + largest_counts["squarefree tab"],
     )
     assert peak <= counted + 48 * moments._CSV_BLOCK  # one block of the summary's errors, their squares as floats
 
