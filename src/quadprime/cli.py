@@ -194,8 +194,8 @@ def check_pv(q_max: int) -> bool:
     takes a strictly larger ratio), so it is skipped before any exact
     diameter.  The output is that of taking pv_check(q) for every q.
     """
-    if q_max < 2:
-        raise ValueError(f"check pv: --qmax must be >= 2, got {q_max}")
+    if q_max < 3:  # mod 2 no character is walked, so no q < 3 has anything to report
+        raise ValueError(f"check pv: --qmax must be >= 3, got {q_max}")
     _check_modulus(q_max, "check pv: --qmax")  # before the walk over every smaller q
     worst_q, worst_excess = 0, 0.0
     ok = True

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial.distance import pdist
 
 from .arith import divisors, factorize, mobius_phi
 from .errors import VerificationError
@@ -37,8 +37,11 @@ from .sieve import LambdaTable, _check_budget
 
 CHARACTER_Q_CEILING = 10_000
 ORACLE_WORK_CEILING = 1 << 28
-_PV_DIRECTIONS = 8  # K, the projection directions of the diameter bracket in pv_check
-_PV_MARGIN = 1e-9  # relative slack on the brackets so rounding never prunes the maximiser
+_PV_DIRECTIONS = 8  # K, the projection directions of pv_check's bracket and of _diameter's prune
+_COS = np.cos(np.pi * np.arange(_PV_DIRECTIONS) / _PV_DIRECTIONS)[:, None]  # the K directions, over half a turn
+_SIN = np.sin(np.pi * np.arange(_PV_DIRECTIONS) / _PV_DIRECTIONS)[:, None]
+_COS_HALF = math.cos(math.pi / (2 * _PV_DIRECTIONS))  # c: a segment lies within pi/2K of a direction
+_PV_MARGIN = 1e-9  # relative slack on the brackets and slabs so rounding never prunes the maximiser
 
 
 @dataclass(frozen=True)
@@ -462,33 +465,30 @@ class PvReport:
 
 
 def _diameter(points: np.ndarray) -> float:
-    """Exact max pairwise distance among complex points.
+    """Exact max pairwise distance among complex points: pdist over those the projections cannot rule out.
 
-    The hull runs on one orientation of the set: whichever of the sorted
-    points and their sorted mirror image (y -> -y) is lexicographically
-    smaller.  So a set and its mirror image give the same float, which
-    pv_check needs: Qhull's rounding is not symmetric under the mirror, and
-    mod 540 it kept a collinear edge point of a walk but not of its
-    conjugate, so the two diameters differed by an ulp.
+    Project the unique points on the K = _PV_DIRECTIONS directions, with
+    widths w_j, largest W, and c = cos(pi/2K).  Let D = |u - v| be the
+    diameter: W <= D, and u - v lies within pi/2K of some direction j, so
+    p_j(u) - p_j(v) >= cD >= cW.  That direction is wide (w_j >= cW), and
+    max p_j - p_j(u) <= w_j - cD <= D(1 - c) <= W(1/c - 1), as is
+    p_j(v) - min p_j.  So u and v lie in the two end slabs, of that depth, of
+    a wide direction, and the points in no such slab can go.  Rounding moves
+    a projection by a few ulps of max|pt| (not of W: far from 0 that can
+    exceed a small spread), and the pair pdist ranks first is within ulps of
+    D; the margin _PV_MARGIN max|pt| covers both.  So the result is
+    pdist(unique points).max() exactly, and since pdist squares each
+    coordinate difference, a set and its mirror image (y -> -y) give the
+    same float, which pv_check needs for one walk of each conjugate pair.
     """
     pts = np.unique(points)
-    if len(pts) == 1:
-        return 0.0
-    if np.all(np.abs(pts.imag) < 1e-12):
-        return float(np.max(pts.real) - np.min(pts.real))
-    mirror = np.unique(pts.conj())
-    differ = np.flatnonzero(pts != mirror)
-    if differ.size:
-        a, b = pts[differ[0]], mirror[differ[0]]
-        if (b.real, b.imag) < (a.real, a.imag):
-            pts = mirror
-    xy = np.column_stack([pts.real, pts.imag])
-    try:
-        hull = xy[ConvexHull(xy).vertices]
-    except QhullError:  # collinear points
-        hull = xy
-    diff = hull[:, None, :] - hull[None, :, :]
-    return float(np.sqrt(np.max(np.sum(diff * diff, axis=-1))))
+    proj = _COS * pts.real + _SIN * pts.imag
+    top, bottom = proj.max(axis=1, keepdims=True), proj.min(axis=1, keepdims=True)
+    big, margin = (top - bottom).max(), _PV_MARGIN * np.abs(pts).max()
+    slab = big * (1.0 / _COS_HALF - 1.0) + margin
+    ends = (proj >= top - slab) | (proj <= bottom + slab)
+    keep = np.any(ends & (top - bottom >= big * _COS_HALF - margin), axis=0)
+    return float(pdist(np.column_stack([pts.real[keep], pts.imag[keep]])).max(initial=0.0))
 
 
 def _pv_bound(q: int) -> float:
@@ -529,7 +529,8 @@ def pv_check(q: int, floor: float = 0.0) -> PvReport | None:
     (N <= q) is the diameter D of the walk's point set over one period,
     n = 0..q-1.  Only one character of each conjugate pair is walked: the
     row of conj(chi) is the exact conjugate of chi's (_mirrored_roots), so
-    its walk is the mirror image of chi's, with the same diameter.
+    its walk is the mirror image of chi's, with the same diameter (the same
+    float too: _diameter is symmetric under the mirror).
 
     Half of each walk gives the rest.  S(q-1) = 0 and chi(q-m) = chi(-1) chi(m), so
 
@@ -585,15 +586,13 @@ def pv_check(q: int, floor: float = 0.0) -> PvReport | None:
     xr, yr = _extent(walks.real, even), _extent(walks.imag, even)
     lower = max(np.maximum(xr, yr).max(initial=0.0), floor)
     live = np.flatnonzero(np.hypot(xr, yr) * (1.0 + _PV_MARGIN) >= lower)
-    t = np.pi * np.arange(_PV_DIRECTIONS) / _PV_DIRECTIONS
-    cos, sin = np.cos(t)[:, None], np.sin(t)[:, None]
     width = np.empty(len(live))
     step = max(1, len(index) // _PV_DIRECTIONS)  # so a block of projections is no larger than the walks
     for lo in range(0, len(live), step):
         rows = live[lo : lo + step]
-        proj = walks.real[rows, None] * cos + walks.imag[rows, None] * sin
+        proj = walks.real[rows, None] * _COS + walks.imag[rows, None] * _SIN
         width[lo : lo + step] = _extent(proj, even[rows, None]).max(axis=1)
-    upper = width / math.cos(math.pi / (2 * _PV_DIRECTIONS))
+    upper = width / _COS_HALF
     units = np.flatnonzero(unit_mask)
     max_sum = 0.0
     for i in np.argsort(-upper, kind="stable"):

@@ -178,8 +178,8 @@ def phi_moment(y: int, q1: int, tol: float) -> float:
         raise ValueError(f"phi_moment: y must be >= 1, got {y}")
     if q1 < 1:
         raise ValueError(f"phi_moment: q1 must be >= 1, got {q1}")
-    if not tol > 0:
-        raise ValueError(f"phi_moment: tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"phi_moment: tol must be positive and finite, got {tol}")
     mu, phi = build_mobius_phi_tables(q1)
     q = np.arange(1, q1 + 1, 2, dtype=np.int64)
     tails = _lmethod_bulk(np.flatnonzero(build_squarefree_table(y)), tol, q, mu[q] / phi[q])

@@ -75,8 +75,8 @@ class SingularCfg:
             raise ValueError(f"SingularCfg: unknown method {self.method!r}")
         if self.euler_cutoff < 3:
             raise ValueError(f"SingularCfg: euler_cutoff must be >= 3, got {self.euler_cutoff}")
-        if not self.tol > 0:
-            raise ValueError(f"SingularCfg: tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"SingularCfg: tol must be positive and finite, got {self.tol}")
 
 
 def sigma_q(q: int, k: int) -> int:
@@ -383,8 +383,8 @@ def l_value(k: int, tol: float) -> float:
     """
     if k < 1:
         raise ValueError(f"l_value: k must be >= 1, got {k}")
-    if not tol > 0:
-        raise ValueError(f"l_value: tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"l_value: tol must be positive and finite, got {tol}")
     m = 4 * k
     # the walk over one period peaks at 24 bytes per n (measured), counted with its headers as 25
     _check_budget(25 * m, f"character walk mod {m}")
@@ -451,8 +451,8 @@ def sl_product(k: int, tol: float) -> float:
     """S(k) * L(k) as the absolutely convergent product over odd primes (see _sl_factor)."""
     if k < 1:
         raise ValueError(f"sl_product: k must be >= 1, got {k}")
-    if not tol > 0:
-        raise ValueError(f"sl_product: tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"sl_product: tol must be positive and finite, got {tol}")
     return _prime_product(k, _sl_cutoff(tol), _sl_factor)
 
 
@@ -460,8 +460,8 @@ def sl_product_bulk(y: int, tol: float) -> np.ndarray:
     """sl_product for every k = 1..y at once (index 0 unused, set to 0)."""
     if y < 1:
         raise ValueError(f"sl_product_bulk: y must be >= 1, got {y}")
-    if not tol > 0:
-        raise ValueError(f"sl_product_bulk: tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"sl_product_bulk: tol must be positive and finite, got {tol}")
     return _bulk_product(y, _sl_cutoff(tol), _sl_factor)
 
 
@@ -476,8 +476,8 @@ def singular_series_lmethod(k: int, tol: float) -> float:
     """
     if k < 1:
         raise ValueError(f"singular_series_lmethod: k must be >= 1, got {k}")
-    if not tol > 0:
-        raise ValueError(f"singular_series_lmethod: tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"singular_series_lmethod: tol must be positive and finite, got {tol}")
     l_exact = math.pi * class_number(k) / ((4 if k == 1 else 2) * math.sqrt(k))
     value = sl_product(k, tol * l_exact / 2.0) / l_exact
     if not value > 0.0:
@@ -600,8 +600,8 @@ def sandwich_violations(k_max: int, tol: float) -> list[tuple[int, float]]:
     SL(k) is sl_product to tol/4, computed for all k at once; each value
     equals the scalar sl_product(k, tol/4) exactly (same factors, same order).
     """
-    if not tol > 0:
-        raise ValueError(f"sandwich_violations: tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"sandwich_violations: tol must be positive and finite, got {tol}")
     lower, upper = sandwich_bounds()
     product = sl_product_bulk(k_max, tol / 4.0)
     outside = build_squarefree_table(k_max) & ~((lower - tol <= product) & (product <= upper + tol))

@@ -217,16 +217,32 @@ def test_check_sandwich_reports_violations(monkeypatch, capsys):
     assert lines[1] == "  k=1: product 1.0782051598474778"
 
 
-@pytest.mark.parametrize("tol", ["0", "-1"])
+@pytest.mark.parametrize("tol", ["0", "-1", "inf"])
 def test_check_sandwich_rejects_a_nonpositive_tol(tol, capsys):
     assert run(["check", "sandwich", "--kmax", "50", "--tol", tol]) == 1
     assert "tol must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["singular", "--k", "5", "--method", "lmethod", "--tol", "inf"], "SingularCfg"),
+        (["phi-moment", "--y", "30", "--q1", "5", "--tol", "inf"], "phi_moment"),
+        (["sweep", "--x", "10", "--y", "50", "--method", "lmethod", "--tol", "inf"], "SingularCfg"),
+    ],
+)
+def test_a_non_finite_tol_is_a_usage_error(argv, name, tmp_path, capsys):
+    assert run(argv + (["--out", str(tmp_path)] if argv[0] == "sweep" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {name}: tol must be positive and finite, got inf\n"
+    assert captured.out == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["check", "pv", "--qmax", "1"],
+        ["check", "pv", "--qmax", "2"],  # q = 2 has no non-principal character to walk
         ["check", "decompose", "--qmax", "0"],
         ["check", "gauss", "--qmax", "0"],
     ],

@@ -838,12 +838,15 @@ def test_sandwich_violations_are_the_scalar_products(monkeypatch):
     assert sandwich_violations(50, 1e-4) == want
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_sl_products_and_sandwich_reject_a_nonpositive_tol(tol):
     for name, call in [
         ("sl_product", lambda: sl_product(5, tol)),
         ("sl_product_bulk", lambda: sl_product_bulk(10, tol)),
         ("sandwich_violations", lambda: sandwich_violations(10, tol)),
+        ("l_value", lambda: l_value(5, tol)),
+        ("singular_series_lmethod", lambda: singular_series_lmethod(5, tol)),
+        ("SingularCfg", lambda: SingularCfg(method="lmethod", tol=tol)),
     ]:
         with pytest.raises(ValueError, match=f"^{name}: tol must be positive"):
             call()
