@@ -38,7 +38,7 @@ from .sieve import LambdaTable, _check_budget
 CHARACTER_Q_CEILING = 10_000
 ORACLE_WORK_CEILING = 1 << 28
 _PV_DIRECTIONS = 8  # K, the projection directions of pv_check's bracket and of _diameter's prune
-# the K directions over half a turn, taken from math: numpy's cos and sin at import add 0.2 MB to every peak RSS
+# the K directions over half a turn, from math (the same floats): a first np.cos at import can add 0.1-0.2 MB of RSS
 _COS = np.array([[math.cos(math.pi * j / _PV_DIRECTIONS)] for j in range(_PV_DIRECTIONS)])
 _SIN = np.array([[math.sin(math.pi * j / _PV_DIRECTIONS)] for j in range(_PV_DIRECTIONS)])
 _COS_HALF = math.cos(math.pi / (2 * _PV_DIRECTIONS))  # c: a segment lies within pi/2K of a direction
