@@ -110,8 +110,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.monotonic()
     cfg = SingularCfg(method=args.method, euler_cutoff=args.p, tol=args.tol)
     os.makedirs(args.out, exist_ok=True)  # before the sweep, so an --out that cannot be made fails at once
-    if args.format == "json":  # sweep.json's five per-k lists: 144 bytes a k by tracemalloc, beside the sweep's arrays
-        _check_budget(144 * args.y, f"sweep.json lists over k <= {args.y}")
+    if args.format == "json":  # sweep.json's five per-k lists, 144 bytes a k by tracemalloc, and the derived error, 8
+        _check_budget(152 * args.y, f"sweep.json lists over k <= {args.y}")
     result = run_sweep(args.x, args.y, cfg)
     s = result.summary
     if args.format != "json":

@@ -6,9 +6,13 @@ second moment of the error over squarefree k, its normalisation by y x^2,
 and exceptional counts at thresholds x / (log x)^B.
 
 Determinism contract: a sweep's output is bit-identical across runs.  psi
-accumulation is single-threaded: per block of k, one ascending-n array add
-per n, so every k gets the same additions in the same order whatever the
-block size, and every moment is reduced with math.fsum (exact summation) in
+accumulation is single-threaded: per block of k and parity of k, one
+ascending-n array add per n from the odd-m Lambda table, or the lone
+Lambda(2^j) term where n^2 + k is even, so every k gets the same nonzero
+additions in the same order whatever the block size, the order one dense add
+per n would give it.  The error psi - S(k) x is not stored: it is recomputed
+where it is read, by the same multiply and subtract, so every reader sees
+the same floats.  Every moment is reduced with math.fsum (exact summation) in
 ascending k.  fsum is correctly rounded (Shewchuk's exact partial sums), so
 the second moment is the same float whether its squares arrive as one list
 or, as run_sweep feeds them, a block of k at a time.
@@ -38,7 +42,7 @@ from .singular import SingularCfg, _lmethod_bulk, singular_series_euler_bulk
 from .singular import singular_series_lmethod  # noqa: F401  perfbench traces quadprime.moments.singular_series_lmethod
 
 EXCEPTIONAL_B_GRID = (0.5, 1.0, 1.5, 2.0)
-_CSV_BLOCK = 1 << 13  # k per block of errors.csv (a 3.0 MB peak, 11.3 at 1 << 15) and of run_sweep's summary
+_CSV_BLOCK = 1 << 12  # k per block of errors.csv (a 1.6 MB peak, 3.0 at 1 << 13) and of run_sweep's summary
 _PSI_BLOCK = 1 << 15
 
 
@@ -62,7 +66,17 @@ class SweepResult:
     squarefree: np.ndarray
     psi: np.ndarray
     singular: np.ndarray
-    error: np.ndarray
+
+    @property
+    def error(self) -> np.ndarray:
+        """psi - S(k) x for every k, a new array (0 at index 0, where psi and S are 0)."""
+        return _error(self.psi, self.singular, self.summary.x)
+
+
+def _error(psi: np.ndarray, singular: np.ndarray, x: int) -> np.ndarray:
+    """psi - singular x elementwise, as one multiply and one in-place subtract."""
+    error = np.multiply(singular, float(x))
+    return np.subtract(psi, error, out=error)
 
 
 def _exceptional_threshold(x: int, b: float) -> float:
@@ -79,25 +93,38 @@ def psi_value(x: int, k: int, lam: LambdaTable) -> float:
     """sum_{n <= x} Lambda(n^2 + k) from a prebuilt table."""
     _check_psi_args(x, k)
     n = np.arange(1, x + 1, dtype=np.int64)
-    idx = n * n + k
-    if not lam.covers(1 + k, x * x + k):
-        raise IndexError(f"Lambda table covers [1, {lam.hi}], psi needs up to {x * x + k}")
-    return float(np.sum(lam.values[idx]))
+    return float(np.sum(lam.at(n * n + k)))
 
 
 def _psi_bulk(x: int, y: int, lam: LambdaTable) -> np.ndarray:
     """psi(x; k) for all k = 1..y (index 0 unused, set to 0).
 
-    k runs in blocks of _PSI_BLOCK, and each block gets one window add per n,
-    in ascending n, while it stays in cache.  Every k sees the same additions
-    in the same order as a full-width pass would give it.
+    k runs in blocks of _PSI_BLOCK, and each block in its two parities of k,
+    each accumulated in its own contiguous array while it stays in cache.
+    For each n in ascending order, the half where n^2 + k is odd gets one
+    add of a contiguous run of the odd-m table (m = n^2 + k steps by 2 with
+    k), and the half where it is even gets Lambda(2^j) at the k with
+    n^2 + k = 2^j, if it has one.  What is skipped is Lambda's exact zeros
+    at the other even m, and adding +0.0 to a partial sum >= +0.0 leaves it
+    as it is; so every k sees the same nonzero additions in the same order
+    as one dense add per n over all k would give it, whatever the block size.
     """
     psi = np.zeros(y + 1, dtype=np.float64)
     for lo in range(1, y + 1, _PSI_BLOCK):
         hi = min(lo + _PSI_BLOCK, y + 1)
-        block = psi[lo:hi]
+        halves = [(k0, np.zeros(len(range(k0, hi, 2)))) for k0 in (lo, lo + 1)]
         for n in range(1, x + 1):
-            block += lam.values[n * n + lo : n * n + hi]
+            for k0, half in halves:
+                m0 = n * n + k0  # the m of the half's first k
+                if m0 & 1:
+                    half += lam.values[m0 >> 1 : (m0 >> 1) + len(half)]
+                    continue
+                pj = 1 << (m0 - 1).bit_length()  # the least power of two >= m0
+                while pj < m0 + 2 * len(half):
+                    half[(pj - m0) >> 1] += lam.twos[pj.bit_length() - 2]
+                    pj <<= 1
+        for k0, half in halves:
+            psi[k0:hi:2] = half
     return psi
 
 
@@ -107,14 +134,15 @@ def run_sweep(x: int, y: int, cfg: SingularCfg) -> SweepResult:
     The Euler cutoff is raised to max(cfg.euler_cutoff, x) so the main-term
     truncation error stays well below the psi fluctuation being measured;
     lmethod reads every S(k) from one _lmethod_bulk call.  Warns (without
-    failing) if y is outside [x^2/(log x)^3, x^2].  The Lambda table, the psi,
-    main-term and error arrays (24 (y + 1) bytes together), each table of the
-    main term and the squarefree flags are checked against the budget first.
+    failing) if y is outside [x^2/(log x)^3, x^2].  The Lambda table, the psi
+    and main-term arrays (16 (y + 1) bytes together), each table of the main
+    term and the squarefree flags are checked against the budget first.
 
-    The error is computed in place and the summary a block of _CSV_BLOCK k at
-    a time (|E| counted against each threshold, then squared into one fsum),
-    so past the Lambda table and the main term the sweep holds its three
-    arrays, the flags and one block, with the floats of whole-array arithmetic.
+    The error E = psi - S x is not stored: the summary computes it a block of
+    _CSV_BLOCK k at a time (|E| at the squarefree k counted against each
+    threshold, then squared into one fsum), so past the Lambda table and the
+    main term the sweep holds its two arrays, the flags and one block, with
+    the floats of whole-array arithmetic.
     """
     if x < 2:
         raise ValueError(f"run_sweep: x must be >= 2, got {x}")
@@ -127,7 +155,7 @@ def run_sweep(x: int, y: int, cfg: SingularCfg) -> SweepResult:
             stacklevel=2,
         )
 
-    _check_budget(24 * (y + 1), f"psi, main-term and error arrays over k <= {y}")
+    _check_budget(16 * (y + 1), f"psi and main-term arrays over k <= {y}")
     # no name holds the Lambda table, so it is freed before the main term is built
     psi = _psi_bulk(x, y, build_lambda_table(x * x + y))
 
@@ -136,8 +164,6 @@ def run_sweep(x: int, y: int, cfg: SingularCfg) -> SweepResult:
     else:
         sing = np.concatenate([[0.0], _lmethod_bulk(np.arange(1, y + 1), cfg.tol)])
 
-    error = np.multiply(sing, float(x))
-    np.subtract(psi, error, out=error)  # psi - sing x, with no temporary; 0 at index 0, where psi and sing are 0
     sf = build_squarefree_table(y)
 
     thresholds = {b: _exceptional_threshold(x, b) for b in EXCEPTIONAL_B_GRID}
@@ -145,7 +171,8 @@ def run_sweep(x: int, y: int, cfg: SingularCfg) -> SweepResult:
 
     def squares():
         for lo in range(1, y + 1, _CSV_BLOCK):
-            block = error[lo : lo + _CSV_BLOCK][sf[lo : lo + _CSV_BLOCK]]  # a copy, made |E| and squared in place
+            hi = lo + _CSV_BLOCK
+            block = _error(psi[lo:hi], sing[lo:hi], x)[sf[lo:hi]]  # a copy, made |E| and squared in place
             np.abs(block, out=block)
             for b, t in thresholds.items():
                 exceptional[b] += int(np.count_nonzero(block > t))
@@ -163,7 +190,7 @@ def run_sweep(x: int, y: int, cfg: SingularCfg) -> SweepResult:
         normalized=normalized,
         exceptional=exceptional,
     )
-    return SweepResult(summary=summary, squarefree=sf, psi=psi, singular=sing, error=error)
+    return SweepResult(summary=summary, squarefree=sf, psi=psi, singular=sing)
 
 
 def phi_moment(y: int, q1: int, tol: float) -> float:
@@ -308,14 +335,30 @@ def write_errors_csv(result: SweepResult, path: str) -> None:
     """Per-k rows: k, squarefree, psi, singular, error (floats at 12 significant digits).
 
     The bytes are those of csv.writer (CRLF, no quoting) over "%d" k and
-    squarefree and format(v, ".12g") floats.  Rows go out in blocks of
-    _CSV_BLOCK, formatted in numpy: each field fills fixed 4-byte slots from
-    the digit tables, laid out slot-major (one contiguous row per slot), and
-    one transpose puts the block in row order before the unused 0 bytes are
-    deleted.  Floats take the exact kernel of _put_floats, and format() only
-    where that kernel cannot prove the digits.
+    squarefree and format(v, ".12g") floats.  The error column is computed
+    a block at a time, as SweepResult.error computes it; the rows are
+    written by _write_rows.
     """
-    y = result.summary.y
+    x = result.summary.x
+
+    def columns(lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        psi, sing = result.psi[lo:hi], result.singular[lo:hi]
+        return psi, sing, _error(psi, sing, x)
+
+    _write_rows(path, result.squarefree, columns)
+
+
+def _write_rows(path: str, squarefree: np.ndarray, columns) -> None:
+    """errors.csv for k = 1..len(squarefree) - 1, the floats of rows lo..hi - 1 from columns(lo, hi).
+
+    Rows go out in blocks of _CSV_BLOCK, formatted in numpy: each field
+    fills fixed 4-byte slots from the digit tables, laid out slot-major (one
+    contiguous row per slot), and one transpose puts the block in row order
+    before the unused 0 bytes are deleted.  Floats take the exact kernel of
+    _put_floats, and format() only where that kernel cannot prove the
+    digits.
+    """
+    y = len(squarefree) - 1
     k_groups = (len(str(y)) + 3) // 4
     digits = _digit_tables()
     with open(path, "wb") as fh:
@@ -324,9 +367,9 @@ def write_errors_csv(result: SweepResult, path: str) -> None:
             hi = min(lo + _CSV_BLOCK, y + 1)
             out = np.empty((k_groups + 2 + 3 * _FLOAT_SLOTS, hi - lo), dtype=np.uint32)
             _put_int(out, 0, np.arange(lo, hi, dtype=np.float64), k_groups, digits)
-            out[k_groups] = np.where(result.squarefree[lo:hi], _ONE, _ZERO)
-            for j, col in enumerate((result.psi, result.singular, result.error)):
-                _put_floats(out, k_groups + 1 + j * _FLOAT_SLOTS, col[lo:hi], digits)
+            out[k_groups] = np.where(squarefree[lo:hi], _ONE, _ZERO)
+            for j, col in enumerate(columns(lo, hi)):
+                _put_floats(out, k_groups + 1 + j * _FLOAT_SLOTS, col, digits)
             out[-1] = _CRLF
             fh.write(out.T.tobytes().translate(None, b"\0"))
 

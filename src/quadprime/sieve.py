@@ -74,35 +74,54 @@ def build_prime_table(limit: int) -> PrimeTable:
 
 @dataclass
 class LambdaTable:
-    """Von Mangoldt values Lambda(m) for m = 1..hi.
+    """Von Mangoldt values Lambda(m) for m = 1..hi, stored at odd m.
+
+    Lambda vanishes at every even m but the powers of two, so only the odd m
+    are stored; the powers of two are kept apart, in `twos`.  Every reader
+    goes through `at` or `window`, which give Lambda(m) at each m asked for.
 
     Attributes:
-        values: float64 array, values[m] = Lambda(m) (index 0 unused, set to 0).
+        values: float64 array, values[i] = Lambda(2i + 1) (values[0] = Lambda(1) = 0).
+        twos: twos[j - 1] = Lambda(2^j) for each 2^j <= hi.
+        hi: last m covered.
     """
 
     values: np.ndarray
+    twos: tuple[float, ...]
+    hi: int
 
-    @property
-    def hi(self) -> int:
-        return len(self.values) - 1
+    def _check(self, lo: int, hi: int) -> None:
+        if not (1 <= lo and hi <= self.hi):
+            raise IndexError(f"Lambda table covers [1, {self.hi}], asked for [{lo}, {hi}]")
 
-    def covers(self, lo: int, hi: int) -> bool:
-        return 1 <= lo and hi <= self.hi
+    def at(self, m: np.ndarray) -> np.ndarray:
+        """Lambda(m) at each m of a nonempty int64 array (every m inside the table)."""
+        self._check(int(m.min()), int(m.max()))
+        out = np.where((m & 1) == 1, self.values[(m - 1) >> 1], 0.0)
+        for j, v in enumerate(self.twos, 1):
+            out[m == 1 << j] = v
+        return out
 
     def window(self, lo: int, hi: int) -> np.ndarray:
-        """View of the values for m = lo..hi (both inside the table)."""
-        if not self.covers(lo, hi):
-            raise IndexError(f"Lambda table covers [1, {self.hi}], asked for [{lo}, {hi}]")
-        return self.values[lo : hi + 1]
+        """A dense copy of the values for m = lo..hi (both inside the table)."""
+        self._check(lo, hi)
+        out = np.zeros(hi - lo + 1, dtype=np.float64)
+        first = lo | 1  # the first odd m >= lo
+        out[first - lo :: 2] = self.values[first >> 1 : (hi + 1) >> 1]
+        for j, v in enumerate(self.twos, 1):
+            if lo <= 1 << j <= hi:
+                out[(1 << j) - lo] = v
+        return out
 
 
 def build_lambda_table(hi: int) -> LambdaTable:
     """Lambda(m) for m = 1..hi from `build_prime_table(hi)`.
 
-    Each prime p gets log p, and then each proper prime power p^j (j >= 2)
-    gets log p too.  The budget check counts the peak, which comes after the
-    sieve: 8 bytes per m for the values and 16 per prime for the primes and
-    their logs.
+    Each prime p gets log p from np.log, and then each proper prime power
+    p^j (j >= 2) gets math.log(p); Lambda(2) is np.log's, Lambda(4), Lambda(8),
+    ... math.log's.  The budget check counts the peak, which comes after the
+    sieve: 4 bytes per m for the odd-m values and 16 per prime for the primes
+    and their logs.
 
     Args:
         hi: last m covered, >= 1.
@@ -114,18 +133,22 @@ def build_lambda_table(hi: int) -> LambdaTable:
         raise ValueError(f"build_lambda_table: hi must be >= 1, got {hi}")
     # pi(hi) < 1.25506 hi / ln hi (Rosser-Schoenfeld)
     n_primes = int(1.25506 * hi / math.log(hi)) + 1 if hi > 1 else 0
-    _check_budget(8 * (hi + 1) + 16 * n_primes, f"Lambda table over [1, {hi}]")
+    _check_budget(4 * (hi + 1) + 16 * n_primes, f"Lambda table over [1, {hi}]")
     primes = build_prime_table(hi).primes
-    values = np.zeros(hi + 1, dtype=np.float64)
+    small = primes[: np.searchsorted(primes, math.isqrt(hi), side="right")].tolist()
+    values = np.zeros((hi + 1) // 2, dtype=np.float64)
     logs = primes.astype(np.float64)
-    values[primes] = np.log(logs, out=logs)
-    for p in primes[: np.searchsorted(primes, math.isqrt(hi), side="right")].tolist():
+    np.log(logs, out=logs)
+    twos = [float(logs[0])] + [math.log(2)] * (hi.bit_length() - 2) if hi >= 2 else []
+    primes >>= 1  # the odd prime p sits at values[p >> 1]
+    values[primes[1:]] = logs[1:]
+    for p in small[1:]:  # the odd primes <= sqrt(hi)
         log_p = math.log(p)
         pj = p * p
         while pj <= hi:
-            values[pj] = log_p
+            values[pj >> 1] = log_p
             pj *= p
-    return LambdaTable(values)
+    return LambdaTable(values, tuple(twos), hi)
 
 
 def build_squarefree_table(limit: int) -> np.ndarray:

@@ -264,19 +264,31 @@ def _multiply_square_rows(acc: np.ndarray, primes: np.ndarray, factor) -> None:
 def _multiply_far_rows(acc: np.ndarray, primes: np.ndarray, factor) -> None:
     """acc[k] *= factor(p, chi_k(p)) for each p of primes in ascending order, k = 1..len(acc)-1.
 
-    The primes go in blocks of _FAR_BLOCK.  Each block builds the Legendre
-    rows of every odd prime < len(acc), the odd primes of all its k, at its
-    own primes, reads chi_k through _chi from them, then gathers the factors
-    from _factor_table and multiplies them into acc[k] left to right, as
-    np.prod does.  Block sizes count primes, not cells: _chi costs a call
-    per k and block, so small blocks are slow at large y.
+    Every k is factorized once per call, into one flat list as in
+    _lmethod_bulk.  The primes go in blocks of _FAR_BLOCK.  Each block builds
+    the Legendre rows of every odd prime < len(acc), the odd primes of all
+    its k, at its own primes, reads chi_k through _chi from them, then
+    gathers the factors from _factor_table and multiplies them into acc[k]
+    left to right, as np.prod does.  Block sizes count primes, not cells:
+    _chi costs a call per k and block, so small blocks are slow at large y.
     """
+    if not len(primes):
+        return
+    ks = range(1, len(acc))
+    # factorize(k) of the i-th k at flat[ends[i]:ends[i + 1]] as p, a, p, a, ...: counted as in _lmethod_bulk
+    _check_budget(200 * len(ks), f"factorizations of {len(ks)} k")
+    flat, ends = [], [0]
+    for k in ks:
+        flat.extend(itertools.chain.from_iterable(factorize(k)))
+        ends.append(len(flat))
+    odd_primes = _odd_primes_upto(len(acc) - 1).tolist()
     for start in range(0, len(primes), _FAR_BLOCK):
         ps = primes[start : start + _FAR_BLOCK]
         table, at = _factor_table(ps, factor)
-        rows = _legendre_rows(_odd_primes_upto(len(acc) - 1).tolist(), ps)
-        for k in range(1, len(acc)):
-            acc[k] = np.prod(table[at + _chi(k, factorize(k), ps, rows)], initial=acc[k])
+        rows = _legendre_rows(odd_primes, ps)
+        for i, k in enumerate(ks):
+            f = flat[ends[i] : ends[i + 1]]
+            acc[k] = np.prod(table[at + _chi(k, zip(f[::2], f[1::2]), ps, rows)], initial=acc[k])
         del rows  # so the next block's rows are not built beside these
 
 

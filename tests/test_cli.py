@@ -81,9 +81,9 @@ def test_sweep_json_layout(tmp_path, capsys):
 def test_sweep_json_counts_its_lists_before_the_sweep(tmp_path, monkeypatch, capsys):
     y = 2500  # the plain route's largest count is the main term's factor rows, 243,269 bytes at p = 10^4
     argv = ["sweep", "--x", "50", "--y", str(y), "--out", str(tmp_path)]
-    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(144 * y - 1))
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", str(152 * y - 1))
     assert run(argv + ["--format", "json"]) == 1
-    assert "sweep.json lists over k <= 2500 needs 360000 bytes" in capsys.readouterr().err
+    assert "sweep.json lists over k <= 2500 needs 380000 bytes" in capsys.readouterr().err
     assert not (tmp_path / "sweep.json").exists()
     assert run(argv) == 0
     assert (tmp_path / "errors.csv").exists()

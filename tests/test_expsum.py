@@ -47,7 +47,7 @@ def lam():
 
 
 def brute_s1(theta, z, lam):
-    return sum(float(lam.values[m]) * cmath.exp(2j * cmath.pi * theta * m) for m in range(1, z + 1))
+    return sum(v * cmath.exp(2j * cmath.pi * theta * m) for m, v in enumerate(lam.window(1, z).tolist(), 1))
 
 
 def brute_s2(theta, x):

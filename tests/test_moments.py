@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from quadprime import moments, singular
 from quadprime.moments import (
     MomentSummary,
-    SweepResult,
     _psi_bulk,
     phi_moment,
     psi_value,
@@ -46,17 +45,23 @@ def brute_psi(x, k):
     return math.fsum(brute_lambda(n * n + k) for n in range(1, x + 1))
 
 
-def psi_full_width(x, y, lam):
-    """psi(x; k) for k = 0..y by one add per n over all k at once, in ascending n."""
+def psi_full_width(x, y, dense):
+    """psi(x; k) for k = 0..y by one add per n over all k at once, in ascending n, from dense[m] = Lambda(m)."""
     psi = np.zeros(y + 1, dtype=np.float64)
     for n in range(1, x + 1):
-        psi[1:] += lam.values[n * n + 1 : n * n + y + 1]
+        psi[1:] += dense[n * n + 1 : n * n + y + 1]
     return psi
 
 
 @pytest.fixture(scope="module")
 def lam():
     return build_lambda_table(1000 * 1000 + 20)
+
+
+@pytest.fixture(scope="module")
+def dense(lam):
+    """Lambda(m) at every m = 0..lam.hi, as the dense table the odd-only one replaced held it."""
+    return np.concatenate([[0.0], lam.window(1, lam.hi)])
 
 
 @pytest.fixture(scope="module")
@@ -97,11 +102,21 @@ def test_psi_matches_brute_force(lam):
 @example(x=60, y=400, block=7)
 @example(x=1, y=1, block=1)
 @example(x=30, y=7, block=7)
-def test_psi_bulk_blocks_equal_full_width_oracle(x, y, block, lam):
+def test_psi_bulk_blocks_equal_full_width_oracle(x, y, block, lam, dense):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(moments, "_PSI_BLOCK", block)
         got = _psi_bulk(x, y, lam)
-    assert np.array_equal(got, psi_full_width(x, y, lam))
+    assert np.array_equal(got, psi_full_width(x, y, dense))
+
+
+# Every x, y and block of the grid, bit for bit: the parity halves, their
+# ragged ends, and the n^2 + k = 2^j terms (x = 1, y = 1 is 1 + 1 = 2 alone).
+@pytest.mark.parametrize("block", [1, 2, 7, 64, 2**15])
+def test_psi_bulk_parity_halves_equal_dense_adds(block, lam, dense, monkeypatch):
+    monkeypatch.setattr(moments, "_PSI_BLOCK", block)
+    for x in (1, 2, 3, 4, 5, 10, 31, 64):
+        for y in (1, 2, 3, 7, 8, 100, 257, 1000, 4097):
+            assert np.array_equal(_psi_bulk(x, y, lam), psi_full_width(x, y, dense)), (x, y)
 
 
 def test_psi_needs_covering_table():
@@ -200,10 +215,10 @@ def test_sweep_validation(cfg):
 
 def test_sweep_budget_counts_its_own_arrays(cfg, monkeypatch):
     x, y = 100, 10_000
-    # Lambda over [1, 20000] counts 200.6 kB (its values, primes and logs); psi, S and E are 240 kB
-    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", "220000")
+    # Lambda over [1, 20000] counts 120.6 kB (its odd-m values, primes and logs); psi and S are 160 kB
+    monkeypatch.setenv("QUADPRIME_BUDGET_BYTES", "140000")
     build_lambda_table(x * x + y)
-    with pytest.raises(MemoryError, match="psi, main-term and error arrays"):
+    with pytest.raises(MemoryError, match="psi and main-term arrays"):
         run_sweep(x, y, cfg)
 
 
@@ -223,7 +238,7 @@ def test_sweep_budget_reaches_the_euler_prime_sieve(monkeypatch):
         (120, 3603, 1),
         (120, 3603, 7),  # 3603 = 7 * 514 + 5
         (120, 3603, 3604),  # one block, longer than y
-        (140, 2 * 2**13 + 1001, None),  # the module's block: two full and a ragged tail
+        (140, 2 * 2**13 + 1001, None),  # the module's block: four full and a ragged tail
     ],
 )
 def test_sweep_summary_does_not_depend_on_the_block(x, y, block, cfg, monkeypatch):
@@ -243,10 +258,10 @@ def test_sweep_peak_is_within_its_counts(x, y, cfg, largest_counts, traced_peak)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # y > x^2 in the array-bound shape
         _, peak = traced_peak(run_sweep, x, y, cfg)
-    arrays = largest_counts["psi, main-term"]  # psi, S and E: psi lives beside the Lambda table, then the main term
+    arrays = largest_counts["psi and main-t"]  # psi and S: psi lives beside the Lambda table, then the main term
     counted = max(
-        arrays // 3 + largest_counts["Lambda table o"],
-        arrays // 3 + largest_counts["bulk product o"] + largest_counts["factor rows ov"],
+        arrays // 2 + largest_counts["Lambda table o"],
+        arrays // 2 + largest_counts["bulk product o"] + largest_counts["factor rows ov"],
         arrays + largest_counts["squarefree tab"],
     )
     assert peak <= counted + 48 * moments._CSV_BLOCK  # one block of the summary's errors, their squares as floats
@@ -351,12 +366,19 @@ def csv_writer_bytes(r, path):
     return path.read_bytes()
 
 
-def float_columns(psi, singular, error):
-    """A SweepResult holding the given floats at k = 1..n, squarefree at odd k."""
-    n = len(psi)
-    summary = MomentSummary(x=2, y=n, count_squarefree=0, second_moment=0.0, normalized=0.0)
-    cols = [np.concatenate([[0.0], np.asarray(c, dtype=np.float64)]) for c in (psi, singular, error)]
-    return SweepResult(summary, np.arange(n + 1) % 2 == 1, *cols)
+class FloatColumns:
+    """Three independent float columns at k = 1..n, squarefree at odd k, as the rows of errors.csv."""
+
+    def __init__(self, psi, singular, error):
+        self.cols = [np.concatenate([[0.0], np.asarray(c, dtype=np.float64)]) for c in (psi, singular, error)]
+        self.squarefree = np.arange(len(psi) + 1) % 2 == 1
+        self.summary = MomentSummary(x=2, y=len(psi), count_squarefree=0, second_moment=0.0, normalized=0.0)
+        self.psi, self.singular, self.error = self.cols
+
+    def write(self, path):
+        """errors.csv through the writer's kernel, which reads these columns as they are."""
+        moments._write_rows(str(path), self.squarefree, lambda lo, hi: [c[lo:hi] for c in self.cols])
+
 
 
 @pytest.fixture(scope="module")
@@ -420,7 +442,7 @@ def with_examples(values):
 @with_examples(KERNEL_EDGES)
 def test_errors_csv_floats_are_written_as_format_writes_them(csv_dir, v):
     path = csv_dir / "one.csv"
-    write_errors_csv(float_columns([v], [-v], [v]), str(path))
+    FloatColumns([v], [-v], [v]).write(path)
     row = ",".join(format(u, ".12g") for u in (v, -v, v))
     assert path.read_bytes() == f"k,squarefree,psi,singular,error\r\n1,1,{row}\r\n".encode()
 
@@ -428,11 +450,11 @@ def test_errors_csv_floats_are_written_as_format_writes_them(csv_dir, v):
 def test_errors_csv_every_fallback_class_matches_csv_writer(tmp_path, monkeypatch):
     fast = [1.0, -0.5, 13.3618368665, 99999999999.0, 1e-4, 0.000123, 9.9999999999995]
     values = FALLBACK_CLASSES + fast
-    r = float_columns(values, values[::-1], values[7:] + values[:7])
+    r = FloatColumns(values, values[::-1], values[7:] + values[:7])
     want = csv_writer_bytes(r, tmp_path / "want.csv")
     monkeypatch.setattr(moments, "_CSV_BLOCK", 5)  # some blocks all fallback, some mixed
     got = tmp_path / "got.csv"
-    write_errors_csv(r, str(got))
+    r.write(got)
     assert got.read_bytes() == want
 
 
@@ -447,9 +469,9 @@ def test_errors_csv_bytes_match_format_over_a_broad_sample(tmp_path):
         ]
     )
     values.view(np.uint64)[::2] ^= np.uint64(1 << 63)  # flip the sign bit, NaNs included
-    r = float_columns(values, values[::-1], np.roll(values, 1))
+    r = FloatColumns(values, values[::-1], np.roll(values, 1))
     got = tmp_path / "got.csv"
-    write_errors_csv(r, str(got))
+    r.write(got)
     assert got.read_bytes() == csv_writer_bytes(r, tmp_path / "want.csv")
 
 

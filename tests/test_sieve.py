@@ -34,9 +34,29 @@ def test_prime_table_small_limits():
 
 def test_lambda_table_matches_pointwise_definition():
     table = build_lambda_table(3000)
-    assert table.hi == 3000 and table.values[0] == 0.0
+    assert table.hi == 3000 and table.values[0] == 0.0 and len(table.values) == 1500  # odd m only
+    got = table.at(np.arange(1, 3001))
     for m in range(1, 3001):
-        assert table.values[m] == pytest.approx(von_mangoldt(m), abs=1e-12), m
+        assert got[m - 1] == pytest.approx(von_mangoldt(m), abs=1e-12), m
+
+
+@pytest.mark.parametrize("hi", [1, 2, 3, 4, 7, 8, 9, 2**20, 2**20 + 1])
+def test_lambda_table_reads_every_power_of_two(hi):
+    table = build_lambda_table(hi)
+    powers = np.array([2**j for j in range(1, hi.bit_length()) if 2**j <= hi], dtype=np.int64)
+    assert len(table.twos) == len(powers)
+    got = table.at(np.arange(1, hi + 1))
+    assert got[powers - 1].tolist() == [von_mangoldt(int(m)) for m in powers]  # log 2 at each, exactly
+    assert np.count_nonzero(got[1::2]) == len(powers)  # the even m: nonzero at the powers of two only
+    assert np.array_equal(got, table.window(1, hi))
+
+
+def test_lambda_table_at_refuses_points_outside():
+    table = build_lambda_table(100)
+    with pytest.raises(IndexError):
+        table.at(np.array([0, 5]))
+    with pytest.raises(IndexError):
+        table.at(np.array([5, 101]))
 
 
 def test_lambda_table_offset_window():
@@ -48,16 +68,19 @@ def test_lambda_table_offset_window():
 
 
 def test_lambda_table_bytes_are_pinned():
-    # the value of the segmented sieve this builder replaced, at the bench sweep's x^2 + y
-    values = build_lambda_table(1_280_000).values
-    assert hashlib.sha256(values[1:].tobytes()).hexdigest() == LAMBDA_1280000_SHA256
+    # the value of the segmented sieve this builder replaced, at the bench sweep's x^2 + y, as a dense array
+    values = build_lambda_table(1_280_000).window(1, 1_280_000)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == LAMBDA_1280000_SHA256
 
 
 def test_lambda_table_window_and_bounds():
     table = build_lambda_table(200)
     win = table.window(150, 160)
     assert win.shape == (11,)
-    assert win[0] == table.values[150]
+    assert win.tolist() == table.at(np.arange(150, 161)).tolist()
+    assert table.window(151, 151) == pytest.approx([math.log(151)], abs=1e-15)
+    assert table.window(128, 128).tolist() == [math.log(2)]
+    assert table.window(150, 150).tolist() == [0.0]
     with pytest.raises(IndexError):
         table.window(0, 10)
     with pytest.raises(IndexError):

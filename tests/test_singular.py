@@ -452,6 +452,17 @@ def test_far_rows_are_exact_past_int64_squares():
         assert got[k] == want, k
 
 
+def test_far_rows_factorize_each_k_once_per_call(monkeypatch):
+    primes = singular._odd_primes_upto(20_000)
+    primes = primes[primes > 51]  # 2,246 primes: two blocks of _FAR_BLOCK
+    calls, checks = [], []
+    monkeypatch.setattr(singular, "factorize", lambda k: calls.append(k) or factorize(k))
+    monkeypatch.setattr(singular, "_check_budget", lambda nbytes, what: checks.append((nbytes, what)))
+    singular._multiply_far_rows(np.ones(51), primes, singular._euler_factor)
+    assert calls == list(range(1, 51))
+    assert (200 * 50, "factorizations of 50 k") in checks
+
+
 @pytest.mark.parametrize(
     "bulk, y, arg",
     [
