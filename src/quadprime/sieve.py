@@ -77,8 +77,9 @@ class LambdaTable:
     """Von Mangoldt values Lambda(m) for m = 1..hi, stored at odd m.
 
     Lambda vanishes at every even m but the powers of two, so only the odd m
-    are stored; the powers of two are kept apart, in `twos`.  Every reader
-    goes through `at` or `window`, which give Lambda(m) at each m asked for.
+    are stored; the powers of two are kept apart, in `twos`.  `at` and
+    `window` give Lambda(m) at each m asked for; only the bulk psi pass
+    reads `values` and `twos` directly.
 
     Attributes:
         values: float64 array, values[i] = Lambda(2i + 1) (values[0] = Lambda(1) = 0).

@@ -274,9 +274,10 @@ def test_sweep_peak_is_within_its_counts(x, y, cfg, largest_counts, traced_peak)
 def test_exceptional_set_agrees_with_sweep_summary(cfg):
     for x, y in ((20, 300), (30, 500)):
         r = run_sweep(x, y, cfg)
+        error = r.error  # derived afresh on each read
         for b in moments.EXCEPTIONAL_B_GRID:
             threshold = x / math.log(x) ** b
-            plain = sum(1 for k in range(1, y + 1) if r.squarefree[k] and abs(r.error[k]) > threshold)
+            plain = sum(1 for k in range(1, y + 1) if r.squarefree[k] and abs(error[k]) > threshold)
             assert r.summary.exceptional[b] == plain, (x, b)
 
 
@@ -360,8 +361,9 @@ def csv_writer_bytes(r, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "squarefree", "psi", "singular", "error"])
+        error = r.error  # derived afresh on each read of a SweepResult
         for k in range(1, r.summary.y + 1):
-            floats = (r.psi[k], r.singular[k], r.error[k])
+            floats = (r.psi[k], r.singular[k], error[k])
             w.writerow([k, int(r.squarefree[k])] + [format(float(v), ".12g") for v in floats])
     return path.read_bytes()
 
