@@ -15,7 +15,7 @@ where it is read, by the same multiply and subtract, so every reader sees
 the same floats.  Every moment is reduced with math.fsum (exact summation) in
 ascending k.  fsum is correctly rounded (Shewchuk's exact partial sums), so
 the second moment is the same float whether its squares arrive as one list
-or, as run_sweep feeds them, a block of k at a time.
+or, as _summarize feeds them, a block of k at a time.
 
 errors.csv holds the bytes csv.writer gives for format(v, ".12g"), but is
 formatted in numpy, a block of rows at a time.  A float a = |v| in [1e-4,
@@ -42,7 +42,7 @@ from .singular import SingularCfg, _lmethod_bulk, singular_series_euler_bulk
 from .singular import singular_series_lmethod  # noqa: F401  perfbench traces quadprime.moments.singular_series_lmethod
 
 EXCEPTIONAL_B_GRID = (0.5, 1.0, 1.5, 2.0)
-_CSV_BLOCK = 1 << 12  # k per block of errors.csv (a 1.6 MB peak, 3.0 at 1 << 13) and of run_sweep's summary
+_CSV_BLOCK = 1 << 12  # k per block of errors.csv (a 1.6 MB peak, 3.0 at 1 << 13) and of _summarize
 _PSI_BLOCK = 1 << 15
 
 
@@ -77,11 +77,6 @@ def _error(psi: np.ndarray, singular: np.ndarray, x: int) -> np.ndarray:
     """psi - singular x elementwise, as one multiply and one in-place subtract."""
     error = np.multiply(singular, float(x))
     return np.subtract(psi, error, out=error)
-
-
-def _exceptional_threshold(x: int, b: float) -> float:
-    """The exceptional-set threshold x / (log x)^b."""
-    return x / math.log(x) ** b
 
 
 def _check_psi_args(x: int, k: int) -> None:
@@ -137,12 +132,7 @@ def run_sweep(x: int, y: int, cfg: SingularCfg) -> SweepResult:
     failing) if y is outside [x^2/(log x)^3, x^2].  The Lambda table, the psi
     and main-term arrays (16 (y + 1) bytes together), each table of the main
     term and the squarefree flags are checked against the budget first.
-
-    The error E = psi - S x is not stored: the summary computes it a block of
-    _CSV_BLOCK k at a time (|E| at the squarefree k counted against each
-    threshold, then squared into one fsum), so past the Lambda table and the
-    main term the sweep holds its two arrays, the flags and one block, with
-    the floats of whole-array arithmetic.
+    The summary is _summarize of the three arrays.
     """
     if x < 2:
         raise ValueError(f"run_sweep: x must be >= 2, got {x}")
@@ -165,32 +155,41 @@ def run_sweep(x: int, y: int, cfg: SingularCfg) -> SweepResult:
         sing = np.concatenate([[0.0], _lmethod_bulk(np.arange(1, y + 1), cfg.tol)])
 
     sf = build_squarefree_table(y)
+    return SweepResult(summary=_summarize(x, psi, sing, sf), squarefree=sf, psi=psi, singular=sing)
 
-    thresholds = {b: _exceptional_threshold(x, b) for b in EXCEPTIONAL_B_GRID}
-    exceptional = dict.fromkeys(EXCEPTIONAL_B_GRID, 0)
 
-    def squares():
-        for lo in range(1, y + 1, _CSV_BLOCK):
-            hi = lo + _CSV_BLOCK
-            block = _error(psi[lo:hi], sing[lo:hi], x)[sf[lo:hi]]  # a copy, made |E| and squared in place
-            np.abs(block, out=block)
-            for b, t in thresholds.items():
-                exceptional[b] += int(np.count_nonzero(block > t))
-            yield np.square(block, out=block).tolist()
+def _abs_errors(x: int, psi: np.ndarray, singular: np.ndarray, squarefree: np.ndarray):
+    """|psi - S x| at the squarefree k of each block of _CSV_BLOCK k in ascending k, a new array per block."""
+    for lo in range(1, len(psi), _CSV_BLOCK):
+        hi = lo + _CSV_BLOCK
+        block = _error(psi[lo:hi], singular[lo:hi], x)[squarefree[lo:hi]]  # a copy, made |E| in place
+        yield np.abs(block, out=block)
 
-    second_moment = math.fsum(itertools.chain.from_iterable(squares()))  # the counts are complete once fsum returns
-    count_sf = int(np.count_nonzero(sf))
-    normalized = second_moment / (y * float(x) * float(x))
 
-    summary = MomentSummary(
+def _summarize(x: int, psi: np.ndarray, singular: np.ndarray, squarefree: np.ndarray) -> MomentSummary:
+    """The summary of k = 1..y, y = len(psi) - 1, from a sweep's arrays (index = k, 0 unused).
+
+    The error E = psi - S x is not stored: _abs_errors computes |E| at the
+    squarefree k a block at a time, once for the squares, which go into one
+    fsum, and once for the counts against each threshold x / (log x)^B.  So
+    beside its arrays the sweep holds one block, with the floats of
+    whole-array arithmetic.  The summary over a prefix k <= y' is this call
+    on the arrays cut at y' + 1, since psi and each S(k) do not depend on y
+    and fsum is correctly rounded.
+    """
+    y = len(psi) - 1
+    squares = (np.square(e, out=e).tolist() for e in _abs_errors(x, psi, singular, squarefree))
+    second_moment = math.fsum(itertools.chain.from_iterable(squares))
+    thresholds = [x / math.log(x) ** b for b in EXCEPTIONAL_B_GRID]
+    counts = sum(np.count_nonzero(e[:, None] > thresholds, axis=0) for e in _abs_errors(x, psi, singular, squarefree))
+    return MomentSummary(
         x=x,
         y=y,
-        count_squarefree=count_sf,
+        count_squarefree=int(np.count_nonzero(squarefree)),
         second_moment=second_moment,
-        normalized=normalized,
-        exceptional=exceptional,
+        normalized=second_moment / (y * float(x) * float(x)),
+        exceptional=dict(zip(EXCEPTIONAL_B_GRID, map(int, counts))),
     )
-    return SweepResult(summary=summary, squarefree=sf, psi=psi, singular=sing)
 
 
 def phi_moment(y: int, q1: int, tol: float) -> float:

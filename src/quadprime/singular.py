@@ -193,7 +193,7 @@ def _sl_factor(p, chi):
 
 
 _ROW_WIDTH = 1 << 13  # factor rows of p below this are repeated to at least this many entries
-_FAR_RATIO = 32  # primes p > _FAR_RATIO (y + 1) take _multiply_far_rows in _bulk_product
+_FAR_RATIO = 4  # primes p > _FAR_RATIO (y + 1) take _multiply_far_rows in _bulk_product
 _FAR_BLOCK = 1 << 11  # primes per block of _multiply_far_rows
 
 
@@ -214,7 +214,8 @@ def _bulk_product(y: int, cutoff: int, factor) -> np.ndarray:
     - _multiply_far_rows reads chi_k on a block of primes through _chi for
       each k <= y, at a cost that grows with y and not with p.  It serves
       the primes above _FAR_RATIO (y + 1) (measured: the two cost the same
-      near p = 2 to 4 (y + 1) for y = 10^4 and 10^5, below 2 (y + 1) for y <= 1000).
+      near p = 2 to 4 (y + 1) for y = 10^4 and 10^5, below 2 (y + 1) for y <= 1000;
+      at 32 (y + 1), square rows cost 14 to 32 times more).
 
     A far block's Legendre rows are counted again by _legendre_rows; a
     cutoff too far to sieve is refused by the sieve's check.

@@ -6,6 +6,7 @@ implementation so the counting side is checked independently of the sieve.
 
 import csv
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -18,6 +19,7 @@ from quadprime import moments, singular
 from quadprime.moments import (
     MomentSummary,
     _psi_bulk,
+    _summarize,
     phi_moment,
     psi_value,
     run_sweep,
@@ -252,6 +254,46 @@ def test_sweep_summary_does_not_depend_on_the_block(x, y, block, cfg, monkeypatc
         assert r.summary.exceptional[b] == int(np.count_nonzero(np.abs(sf_errors) > x / math.log(x) ** b)), b
 
 
+def per_k_summary(x, psi, singular, squarefree):
+    """The summary over k = 1..len(psi) - 1 from one error per k, as plain Python floats."""
+    y = len(psi) - 1
+    errors = [float(psi[k]) - float(singular[k]) * x for k in range(1, y + 1) if squarefree[k]]
+    second_moment = math.fsum(e * e for e in errors)
+    return MomentSummary(
+        x=x,
+        y=y,
+        count_squarefree=len(errors),
+        second_moment=second_moment,
+        normalized=second_moment / (y * float(x) * float(x)),
+        exceptional={b: sum(abs(e) > x / math.log(x) ** b for e in errors) for b in moments.EXCEPTIONAL_B_GRID},
+    )
+
+
+@pytest.fixture(scope="module", params=["euler", "lmethod"])
+def prefix_sweep(request):
+    """One sweep at x = 70, y = 4900 (two blocks of the module's 2^12 k) on each main-term route."""
+    cfg = SingularCfg(method=request.param, tol=1e-4)
+    return cfg, run_sweep(70, 4900, cfg)
+
+
+# psi and each S(k) do not depend on y, and fsum is correctly rounded, so the
+# summary of a prefix k <= y' is _summarize of the arrays cut at y' + 1.
+@pytest.mark.parametrize("block", [None, 7])
+def test_summary_of_a_prefix_is_the_sweep_to_it(block, prefix_sweep, monkeypatch):
+    cfg, r = prefix_sweep
+    x, y = r.summary.x, r.summary.y
+    if block is not None:
+        monkeypatch.setattr(moments, "_CSV_BLOCK", block)
+    edge = moments._CSV_BLOCK
+    for y_cut in (1, 2, edge - 1, edge, edge + 1, y):
+        cut = (r.psi[: y_cut + 1], r.singular[: y_cut + 1], r.squarefree[: y_cut + 1])
+        got = _summarize(x, *cut)
+        assert got == per_k_summary(x, *cut), y_cut
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a short prefix is outside the designed window
+            assert got == run_sweep(x, y_cut, cfg).summary, y_cut
+
+
 @pytest.mark.parametrize("x, y", [(640, 640**2), (20, 200_000)])  # Lambda-bound (y = x^2), then array-bound
 def test_sweep_peak_is_within_its_counts(x, y, cfg, largest_counts, traced_peak):
     singular._odd_primes_upto(max(cfg.euler_cutoff, x))  # the cached sieve is not the sweep's allocation
@@ -388,6 +430,9 @@ def csv_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("csv")
 
 
+CSV_NAMES = itertools.count()
+
+
 def test_errors_csv_bytes_match_csv_writer_across_blocks(tmp_path, cfg, monkeypatch):
     r = run_sweep(10, 100, cfg)
     want = csv_writer_bytes(r, tmp_path / "want.csv")
@@ -443,7 +488,7 @@ def with_examples(values):
 @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
 @with_examples(KERNEL_EDGES)
 def test_errors_csv_floats_are_written_as_format_writes_them(csv_dir, v):
-    path = csv_dir / "one.csv"
+    path = csv_dir / f"{next(CSV_NAMES)}.csv"  # a new file each example: truncating a written one can be slow
     FloatColumns([v], [-v], [v]).write(path)
     row = ",".join(format(u, ".12g") for u in (v, -v, v))
     assert path.read_bytes() == f"k,squarefree,psi,singular,error\r\n1,1,{row}\r\n".encode()

@@ -498,9 +498,9 @@ def test_bulk_product_checks_the_budget_once_per_call(monkeypatch):
 
     monkeypatch.setattr(singular, "_check_budget", counting_check)
     counts = []
-    for cutoff in (100, 10**4):  # 24 and 1,228 odd primes
+    for cutoff in (100, 10**4):  # 24 and 1,228 odd primes, all square rows at y = 2500
         checks.clear()
-        singular_series_euler_bulk(1000, cutoff)
+        singular_series_euler_bulk(2500, cutoff)
         counts.append(len(checks))
     assert counts[0] == counts[1]
 
