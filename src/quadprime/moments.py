@@ -159,7 +159,7 @@ def run_sweep(x: int, y: int, cfg: SingularCfg) -> SweepResult:
 
 
 def _abs_errors(x: int, psi: np.ndarray, singular: np.ndarray, squarefree: np.ndarray):
-    """|psi - S x| at the squarefree k of each block of _CSV_BLOCK k in ascending k, a new array per block."""
+    """|psi - S x| at the squarefree k, a new array per block of _CSV_BLOCK k in ascending k."""
     for lo in range(1, len(psi), _CSV_BLOCK):
         hi = lo + _CSV_BLOCK
         block = _error(psi[lo:hi], singular[lo:hi], x)[squarefree[lo:hi]]  # a copy, made |E| in place
@@ -169,26 +169,26 @@ def _abs_errors(x: int, psi: np.ndarray, singular: np.ndarray, squarefree: np.nd
 def _summarize(x: int, psi: np.ndarray, singular: np.ndarray, squarefree: np.ndarray) -> MomentSummary:
     """The summary of k = 1..y, y = len(psi) - 1, from a sweep's arrays (index = k, 0 unused).
 
-    The error E = psi - S x is not stored: _abs_errors computes |E| at the
-    squarefree k a block at a time, once for the squares, which go into one
-    fsum, and once for the counts against each threshold x / (log x)^B.  So
-    beside its arrays the sweep holds one block, with the floats of
-    whole-array arithmetic.  The summary over a prefix k <= y' is this call
-    on the arrays cut at y' + 1, since psi and each S(k) do not depend on y
-    and fsum is correctly rounded.
+    |E| is computed a block at a time, once for the squares, all in one fsum,
+    and once for the counts over each threshold x / (log x)^B, so beside the
+    arrays only a block is held.  A prefix k <= y' is this call on the arrays
+    cut at y' + 1: psi and S(k) do not depend on y, and fsum is correctly rounded.
     """
     y = len(psi) - 1
     squares = (np.square(e, out=e).tolist() for e in _abs_errors(x, psi, singular, squarefree))
     second_moment = math.fsum(itertools.chain.from_iterable(squares))
-    thresholds = [x / math.log(x) ** b for b in EXCEPTIONAL_B_GRID]
-    counts = sum(np.count_nonzero(e[:, None] > thresholds, axis=0) for e in _abs_errors(x, psi, singular, squarefree))
+    thresholds = {b: x / math.log(x) ** b for b in EXCEPTIONAL_B_GRID}
+    exceptional = dict.fromkeys(thresholds, 0)
+    for e in _abs_errors(x, psi, singular, squarefree):
+        for b, t in thresholds.items():
+            exceptional[b] += int(np.count_nonzero(e > t))
     return MomentSummary(
         x=x,
         y=y,
         count_squarefree=int(np.count_nonzero(squarefree)),
         second_moment=second_moment,
         normalized=second_moment / (y * float(x) * float(x)),
-        exceptional=dict(zip(EXCEPTIONAL_B_GRID, map(int, counts))),
+        exceptional=exceptional,
     )
 
 

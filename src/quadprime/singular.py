@@ -213,9 +213,9 @@ def _bulk_product(y: int, cutoff: int, factor) -> np.ndarray:
       cost that grows with p;
     - _multiply_far_rows reads chi_k on a block of primes through _chi for
       each k <= y, at a cost that grows with y and not with p.  It serves
-      the primes above _FAR_RATIO (y + 1) (measured: the two cost the same
-      near p = 2 to 4 (y + 1) for y = 10^4 and 10^5, below 2 (y + 1) for y <= 1000;
-      at 32 (y + 1), square rows cost 14 to 32 times more).
+      the primes above _FAR_RATIO (y + 1) = 4 (y + 1), where far rows cost
+      less (measured: the two cost the same near p = 2 to 4 (y + 1) for
+      y = 10^4 and 10^5, below 2 (y + 1) for y <= 1000).
 
     A far block's Legendre rows are counted again by _legendre_rows; a
     cutoff too far to sieve is refused by the sieve's check.
