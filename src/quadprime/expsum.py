@@ -37,12 +37,12 @@ from .sieve import LambdaTable, _check_budget
 
 CHARACTER_Q_CEILING = 10_000
 ORACLE_WORK_CEILING = 1 << 28
-_PV_DIRECTIONS = 8  # K, the projection directions of pv_check's bracket and of _diameter's prune
+_PV_DIRECTIONS = 8  # K, the projection directions of _diameter's prune
 # the K directions over half a turn, from math (the same floats): a first np.cos at import can add 0.1-0.2 MB of RSS
 _COS = np.array([[math.cos(math.pi * j / _PV_DIRECTIONS)] for j in range(_PV_DIRECTIONS)])
 _SIN = np.array([[math.sin(math.pi * j / _PV_DIRECTIONS)] for j in range(_PV_DIRECTIONS)])
 _COS_HALF = math.cos(math.pi / (2 * _PV_DIRECTIONS))  # c: a segment lies within pi/2K of a direction
-_PV_MARGIN = 1e-9  # relative slack on the brackets and slabs so rounding never prunes the maximiser
+_PV_MARGIN = 1e-9  # relative slack on the diagonal and the slabs so rounding never prunes the maximiser
 
 
 @dataclass(frozen=True)
@@ -520,6 +520,11 @@ def _extent(v: np.ndarray, even: np.ndarray) -> np.ndarray:
     return np.where(even, 2.0 * np.maximum(hi, -lo), hi - lo)
 
 
+def _box_diagonal(walks: np.ndarray, even: np.ndarray) -> np.ndarray:
+    """The diagonal of the bounding box of 0, each half walk and its image (_extent): no shorter than its diameter."""
+    return np.hypot(_extent(walks.real, even), _extent(walks.imag, even))
+
+
 def pv_check(q: int, floor: float = 0.0) -> PvReport | None:
     """Largest |sum of chi(n) over a window| vs the 6 sqrt(q) log q bound, or None below floor.
 
@@ -539,19 +544,12 @@ def pv_check(q: int, floor: float = 0.0) -> PvReport | None:
     walk is its point reflection through 0.  Every n in 0..q-1 is n or
     q-1-n for some n < q/2, and S moves only at units.  So the point set is
     0, the half walk H (S at the units u < q/2, _unit_walks) and its image:
-    H itself for odd chi, -H for even chi.  D is bracketed from that set
-    (_extent), without building the second half:
+    H itself for odd chi, -H for even chi.  The diagonal of the bounding
+    box of that set bounds D, and _box_diagonal takes it from the x and y
+    ranges (_extent) without building the second half.
 
-    - Bounding box: max(x range, y range) <= D <= the box diagonal.  Walks
-      whose diagonal is below max(floor, the largest lower end) drop out
-      (about 92% of them for q <= 500 at floor 0).
-    - K = _PV_DIRECTIONS directions spread over half a turn: no projection
-      is longer than D, and the diameter segment lies within pi/2K of one
-      of them, so width <= D <= width / cos(pi/2K), width being the largest
-      projected width.
-
-    The exact diameter then runs in decreasing order of the upper end and
-    stops once the upper end falls below max(floor, the best exact D).  It
+    The exact diameter then runs in decreasing order of the diagonal and
+    stops once the diagonal falls below max(floor, the best exact D).  It
     runs on the full-period walk over all units, from the same exponents
     and roots: those are the floats of the cumsum over the whole row (a
     non-unit adds an exact 0, and _diameter drops repeats), so max_sum is
@@ -561,7 +559,7 @@ def pv_check(q: int, floor: float = 0.0) -> PvReport | None:
     to it.  A computed S(n) is within about n 2^-53 max|S| <= q 2^-53 D of
     the exact sum of its float terms (0 is a point of the walk, so
     |S| <= D), and the float roots keep chi(q-m) = chi(-1) chi(m) and
-    S(q-1) = 0 to an ulp a term.  So each bracket is off by a few q 2^-53 D,
+    S(q-1) = 0 to an ulp a term.  So the diagonal is off by a few q 2^-53 D,
     about 1e-12 D at q = CHARACTER_Q_CEILING, and _PV_MARGIN (1e-9
     relative) covers it: no walk that could carry the maximum is pruned.
     If the best exact D reaches floor the report is returned; otherwise
@@ -576,28 +574,19 @@ def pv_check(q: int, floor: float = 0.0) -> PvReport | None:
     index = _pair_representatives(cycle_orders)
     # 33 bytes per entry of the pair-representative rows over all q columns,
     # the count of the route that walked whole rows.  The half walks peak at
-    # about 40 bytes per unit u < q/2 and row (the exponents, then the walks
-    # beside a block of projections), at most 20 per entry: tracemalloc
-    # measured 2.6 to 15.1 bytes per entry at q = 499 to 2310
+    # about 24 bytes per unit u < q/2 and row (the exponents beside the
+    # gathered walks), about 12 per entry: tracemalloc measured 2.6 to 12.1
+    # bytes per entry at q = 499 to 2310
     _check_budget(len(index) * q * 33, f"character table mod {q} ({len(index)}x{q} entries at 33 bytes)")
     index = index[1:]  # index 0, every exponent 0, is the principal character, which is not walked
     walks, even = _half_walks(cycle_logs, unit_mask, index)
-    xr, yr = _extent(walks.real, even), _extent(walks.imag, even)
-    lower = max(np.maximum(xr, yr).max(initial=0.0), floor)
-    live = np.flatnonzero(np.hypot(xr, yr) * (1.0 + _PV_MARGIN) >= lower)
-    width = np.empty(len(live))
-    step = max(1, len(index) // _PV_DIRECTIONS)  # so a block of projections is no larger than the walks
-    for lo in range(0, len(live), step):
-        rows = live[lo : lo + step]
-        proj = walks.real[rows, None] * _COS + walks.imag[rows, None] * _SIN
-        width[lo : lo + step] = _extent(proj, even[rows, None]).max(axis=1)
-    upper = width / _COS_HALF
+    diagonal = _box_diagonal(walks, even)
     units = np.flatnonzero(unit_mask)
     max_sum = 0.0
-    for i in np.argsort(-upper, kind="stable"):
-        if upper[i] * (1.0 + _PV_MARGIN) < max(floor, max_sum):
+    for i in np.argsort(-diagonal, kind="stable"):
+        if diagonal[i] * (1.0 + _PV_MARGIN) < max(floor, max_sum):
             break
-        walk = _unit_walks(cycle_logs, index[live[i] : live[i] + 1], units)[0]
+        walk = _unit_walks(cycle_logs, index[i : i + 1], units)[0]
         max_sum = max(max_sum, _diameter(np.append(0.0, walk)))
     if max_sum < floor:
         return None

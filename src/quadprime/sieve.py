@@ -50,6 +50,11 @@ class PrimeTable:
         return len(self.primes)
 
 
+def _prime_count_bound(n: int) -> int:
+    """An integer above pi(n): pi(n) < 1.25506 n / ln n for n > 1 (Rosser-Schoenfeld)."""
+    return int(1.25506 * n / math.log(n)) + 1 if n > 1 else 0
+
+
 def build_prime_table(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to `limit` (inclusive).
 
@@ -61,7 +66,8 @@ def build_prime_table(limit: int) -> PrimeTable:
     """
     if limit < 0:
         raise ValueError(f"build_prime_table: limit must be >= 0, got {limit}")
-    _check_budget(limit + 1, f"prime sieve to {limit}")
+    # the peak: a flag byte per n beside the 8-byte primes that np.nonzero gathers from them
+    _check_budget(limit + 1 + 8 * _prime_count_bound(limit), f"prime sieve to {limit}")
     if limit < 2:
         return PrimeTable(limit, np.empty(0, dtype=np.int64))
     flags = np.ones(limit + 1, dtype=bool)
@@ -69,7 +75,7 @@ def build_prime_table(limit: int) -> PrimeTable:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return PrimeTable(limit, np.nonzero(flags)[0].astype(np.int64))
+    return PrimeTable(limit, np.nonzero(flags)[0].astype(np.int64, copy=False))
 
 
 @dataclass
@@ -132,9 +138,7 @@ def build_lambda_table(hi: int) -> LambdaTable:
     """
     if hi < 1:
         raise ValueError(f"build_lambda_table: hi must be >= 1, got {hi}")
-    # pi(hi) < 1.25506 hi / ln hi (Rosser-Schoenfeld)
-    n_primes = int(1.25506 * hi / math.log(hi)) + 1 if hi > 1 else 0
-    _check_budget(4 * (hi + 1) + 16 * n_primes, f"Lambda table over [1, {hi}]")
+    _check_budget(4 * (hi + 1) + 16 * _prime_count_bound(hi), f"Lambda table over [1, {hi}]")
     primes = build_prime_table(hi).primes
     small = primes[: np.searchsorted(primes, math.isqrt(hi), side="right")].tolist()
     values = np.zeros((hi + 1) // 2, dtype=np.float64)
@@ -174,7 +178,10 @@ def build_mobius_phi_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if limit < 1:
         raise ValueError(f"build_mobius_phi_tables: limit must be >= 1, got {limit}")
-    _check_budget(9 * (limit + 1), f"mu/phi tables to {limit}")
+    # the peak is at p = 2: mu (1 byte per n) and phi (8) beside the sieve's
+    # primes (8 per prime) and the quotient phi[2::2] // 2 (4 per n); inside
+    # the sieve, its flags (1 per n) stand where the quotient will
+    _check_budget(13 * (limit + 1) + 8 * _prime_count_bound(limit), f"mu/phi tables to {limit}")
     mu = np.ones(limit + 1, dtype=np.int8)
     phi = np.arange(limit + 1, dtype=np.int64)
     for p in build_prime_table(limit).primes:

@@ -176,7 +176,7 @@ def test_phi_moment_bench_stdout_is_pinned(capsys):
     "argv, allocation",
     [
         (["phi-moment", "--y", "3000", "--q1", "500", "--tol", "1e-4"], "Legendre rows for 429 primes at 2243 points"),
-        (["phi-moment", "--y", "2", "--q1", "100000", "--tol", "1e-4"], "chi and factor blocks of 16 x"),
+        (["phi-moment", "--y", "2", "--q1", "60000", "--tol", "1e-4"], "chi and factor blocks of 16 x"),
     ],
 )
 def test_phi_moment_counts_its_bulk_arrays(argv, allocation, monkeypatch, capsys):

@@ -18,6 +18,7 @@ from quadprime.cli import check_pv
 from quadprime.expsum import (
     ArcPoint,
     Character,
+    _box_diagonal,
     _cached_character_table,
     _character_orders,
     _conjugate_indices,
@@ -607,7 +608,7 @@ def test_pair_representatives_cover_every_index_once():
 
 
 def assert_half_walk_brackets_match_full_walks(q):
-    """pv_check's box and projected widths, from half walks and their images, against the full-period walks."""
+    """pv_check's box, from half walks and their images, against the full-period walks."""
     tab = build_character_table(q)
     cycle_logs, unit_mask = _unit_cycles(q)
     index = np.array([ch.index for ch in tab.chars if not ch.is_principal], dtype=np.int64)
@@ -615,12 +616,9 @@ def assert_half_walk_brackets_match_full_walks(q):
     full = np.cumsum(tab.values[index], axis=1)  # [0, S(1), ..., S(q-1)]
     assert np.array_equal(even, tab.values[index, q - 1] == 1.0), q
     tol = 1e-12 * np.abs(full).max(axis=1, initial=1.0)
-    t = np.pi * np.arange(expsum._PV_DIRECTIONS) / expsum._PV_DIRECTIONS
     for got, want in [
         (_extent(half.real, even), np.ptp(full.real, axis=1)),
         (_extent(half.imag, even), np.ptp(full.imag, axis=1)),
-        *[(_extent(half.real * c + half.imag * s, even), np.ptp(full.real * c + full.imag * s, axis=1))
-          for c, s in zip(np.cos(t), np.sin(t))],
     ]:
         assert np.all(np.abs(got - want) <= tol), q
 
@@ -636,6 +634,31 @@ def test_half_walk_brackets_match_full_walks():
 @example(q=2310)
 def test_half_walk_brackets_match_full_walks_large_q(q):
     assert_half_walk_brackets_match_full_walks(q)
+
+
+def assert_box_diagonal_bounds_every_walk(q):
+    """pv_check's bracket: the half walk's box diagonal, with its margin, is no shorter than the full walk's diameter."""
+    tab = build_character_table(q)
+    cycle_logs, unit_mask = _unit_cycles(q)
+    index = np.array([ch.index for ch in tab.chars if not ch.is_principal], dtype=np.int64)
+    half, even = _half_walks(cycle_logs, unit_mask, index)
+    bracket = _box_diagonal(half, even) * (1.0 + expsum._PV_MARGIN)
+    for i, upper in zip(index.tolist(), bracket.tolist()):
+        walk = np.concatenate([[0.0 + 0.0j], np.cumsum(tab.values[i, 1:])])  # the walk of exhaustive_max_sum
+        assert upper >= _diameter(walk), (q, i)
+
+
+def test_box_diagonal_bounds_every_walk():
+    for q in range(2, 301):
+        assert_box_diagonal_bounds_every_walk(q)
+
+
+@settings(max_examples=8, deadline=None)
+@given(q=st.integers(min_value=301, max_value=3000))
+@example(q=2048)
+@example(q=2310)
+def test_box_diagonal_bounds_every_walk_large_q(q):
+    assert_box_diagonal_bounds_every_walk(q)
 
 
 # moduli where a diameter that depends on the points' orientation gave a walk and its mirror image different
@@ -745,11 +768,12 @@ def test_check_pv_prints_every_failure_of_a_smaller_bound(monkeypatch, capsys):
     assert not ok and out.count("exceeds bound") > 10
 
 
-def test_check_pv_runs_an_exact_diameter_only_where_the_verdict_depends_on_it(monkeypatch):
+@pytest.mark.parametrize("q_max", [300, 500])  # the bench size and the CLI default
+def test_check_pv_runs_an_exact_diameter_only_where_the_verdict_depends_on_it(q_max, monkeypatch):
     calls = []
     monkeypatch.setattr(expsum, "_diameter", lambda points: calls.append(1) or _diameter(points))
-    assert check_pv(300)
-    assert len(calls) <= 3  # q = 3 and q = 5; pv_check(q) for every q makes 397
+    assert check_pv(q_max)
+    assert len(calls) <= 3  # q = 3 and q = 5; pv_check(q) for every q makes 891 at 300, 1,500 at 500
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 12, 97, 244, 540])

@@ -102,6 +102,19 @@ def test_lambda_budget_counts_the_measured_peak(hi, monkeypatch, traced_peak):
     assert peak <= counted[0]
 
 
+# from 10^4 up: below it the call's few fixed Python objects (about 0.8 KB) outweigh the slack of the counts
+@pytest.mark.parametrize(
+    "build, limit",
+    [(build_prime_table, n) for n in (10**4, 10**5, 1_500_000, 10**7)]
+    + [(build_mobius_phi_tables, n) for n in (2 * 10**4, 10**5, 3 * 10**5)],
+)
+def test_sieve_budgets_count_the_measured_peak(build, limit, monkeypatch, traced_peak):
+    counted = []
+    monkeypatch.setattr(sieve, "_check_budget", lambda nbytes, what: counted.append(nbytes))
+    _, peak = traced_peak(build, limit)
+    assert peak <= counted[0]  # the builder's own count; build_mobius_phi_tables's sieve counts after it
+
+
 def mobius_formula_squarefree_count(limit):
     """#{n <= limit squarefree} = sum_d mu(d) * floor(limit / d^2)."""
     total = 0
