@@ -12,7 +12,10 @@ Lambda(2^j) term where n^2 + k is even, so every k gets the same nonzero
 additions in the same order whatever the block size, the order one dense add
 per n would give it.  The error psi - S(k) x is not stored: it is recomputed
 where it is read, by the same multiply and subtract, so every reader sees
-the same floats.  Every moment is reduced with math.fsum (exact summation) in
+the same floats.  From y + 1 >= 2^18 the Euler or SL main term may run its
+square rows on two threads, each over its own half of the k; each k still
+gets its factors in ascending p, so the bytes are the same on any number of
+CPUs.  Every moment is reduced with math.fsum (exact summation) in
 ascending k.  fsum is correctly rounded (Shewchuk's exact partial sums), so
 the second moment is the same float whether its squares arrive as one list
 or, as _summarize feeds them, a block of k at a time.

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,6 +197,7 @@ def _sl_factor(p, chi):
 _ROW_WIDTH = 1 << 13  # factor rows of p below this are repeated to at least this many entries
 _FAR_RATIO = 4  # primes p > _FAR_RATIO (y + 1) take _multiply_far_rows in _bulk_product
 _FAR_BLOCK = 1 << 11  # primes per block of _multiply_far_rows
+_SPLIT_MIN = 1 << 18  # _bulk_product splits its square rows over two threads from y + 1 = _SPLIT_MIN
 
 
 def _factor_table(primes: np.ndarray, factor) -> tuple[np.ndarray, np.ndarray]:
@@ -217,42 +220,63 @@ def _bulk_product(y: int, cutoff: int, factor) -> np.ndarray:
       less (measured: the two cost the same near p = 2 to 4 (y + 1) for
       y = 10^4 and 10^5, below 2 (y + 1) for y <= 1000).
 
+    From y + 1 >= _SPLIT_MIN = 2^18, in a process that may run on two CPUs,
+    the square rows go in two parts: the caller takes k < mid = (y + 1) // 2
+    and one worker thread k >= mid, at phase mid.  numpy drops the GIL in the
+    multiplies but not in the small ops that build a row, so the split pays
+    only where the multiplies are long (measured: serial wins at y = 160,000,
+    the split from 2^18), and four threads on two CPUs were slower than two.
+    Each k gets the same factor() values in ascending p either way, so every
+    float is the same whether or not the product splits.  The far rows run
+    after, in the caller.
+
     A far block's Legendre rows are counted again by _legendre_rows; a
     cutoff too far to sieve is refused by the sieve's check.
     """
     _check_budget(8 * (y + 1), f"bulk product over k <= {y}")
     primes = _odd_primes_upto(cutoff)
     lo = int(np.searchsorted(primes, _FAR_RATIO * (y + 1), side="right"))  # lo >= 1: 3 is a square row
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    split = y + 1 >= _SPLIT_MIN and cpus >= 2
     # a square row peaks at 8 bytes per entry and 8 per residue of p (measured):
-    # under 17 p + 9 _ROW_WIDTH for any p.  A far block holds an int8 row per
-    # odd prime <= y, and building its SL factor table peaks near 160 bytes a
-    # prime (measured): under y + 192 bytes a prime
+    # under 17 p + 9 _ROW_WIDTH for any p, twice over when split, since each
+    # thread holds its own row.  A far block holds an int8 row per odd prime
+    # <= y, and building its SL factor table peaks near 160 bytes a prime
+    # (measured): under y + 192 bytes a prime
+    rows = (1 + split) * (17 * int(primes[lo - 1]) + 9 * _ROW_WIDTH)
     _check_budget(
-        max(17 * int(primes[lo - 1]) + 9 * _ROW_WIDTH, (y + 192) * _FAR_BLOCK if lo < len(primes) else 0),
+        max(rows, (y + 192) * _FAR_BLOCK if lo < len(primes) else 0),
         f"factor rows over k <= {y} for the odd primes <= {cutoff}",
     )
     acc = np.ones(y + 1, dtype=np.float64)
-    _multiply_square_rows(acc, primes[:lo], factor)
+    if split:
+        mid = (y + 1) // 2
+        with ThreadPoolExecutor(max_workers=1) as pool:  # its exit joins the worker, even if this half raises
+            upper = pool.submit(_multiply_square_rows, acc[mid:], primes[:lo], factor, mid)
+            _multiply_square_rows(acc[:mid], primes[:lo], factor)
+        upper.result()  # raises the worker's exception, if any
+    else:
+        _multiply_square_rows(acc, primes[:lo], factor)
     _multiply_far_rows(acc, primes[lo:], factor)
     acc[0] = 0.0
     return acc
 
 
-def _multiply_square_rows(acc: np.ndarray, primes: np.ndarray, factor) -> None:
-    """acc *= each prime's factor row, built from the squares mod p.
+def _multiply_square_rows(acc: np.ndarray, primes: np.ndarray, factor, k0: int = 0) -> None:
+    """acc[i] *= each prime's factor at k = k0 + i, in ascending p, from rows built from the squares mod p.
 
-    chi_k(p) = (-k/p) is periodic mod p and +1 exactly at k = p - (r^2 mod p),
-    0 < r <= p/2, so a prime's row is filled from factor() at chi = -1, 0 and
-    +1, repeated to ceil(_ROW_WIDTH/p) p entries (short rows multiply slowly),
-    cut to L <= len(acc) and multiplied in place into acc seen as
-    len(acc) // L rows of length L, then into the tail.  No length-y
-    temporary is made.
+    chi_k(p) = (-k/p) is periodic mod p, 0 at k = 0 mod p and +1 exactly at
+    k = -r^2 mod p, 0 < r <= p/2, so a prime's row is filled at phase k0
+    (entry i is k0 + i mod p) from factor() at chi = -1, 0 and +1, repeated
+    to ceil(_ROW_WIDTH/p) p entries (short rows multiply slowly), cut to
+    L <= len(acc) and multiplied in place into acc seen as len(acc) // L rows
+    of length L, then into the tail.  No length-y temporary is made.
     """
     for p in map(int, primes):
         minus, zero, plus = factor(p, np.array([-1.0, 0.0, 1.0])).tolist()
         row = np.full(-(-_ROW_WIDTH // p) * p, minus)
-        row[0] = zero
-        row[p - np.arange(1, p // 2 + 1, dtype=np.int64) ** 2 % p] = plus
+        row[-k0 % p] = zero
+        row[(-k0 - np.arange(1, p // 2 + 1, dtype=np.int64) ** 2) % p] = plus
         row.reshape(-1, p)[1:] = row[:p]
         row = row[: len(acc)]
         span = len(acc) // len(row) * len(row)

@@ -9,6 +9,9 @@ cross-checks two package functions against each other).
 import cmath
 import gc
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from unittest import mock
 
@@ -424,6 +427,105 @@ def test_bulk_row_peak_is_within_its_count(cutoff, traced_peak):
     singular._odd_primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
     _, peak = traced_peak(singular_series_euler_bulk, y, cutoff)
     assert peak - 8 * (y + 1) <= 17 * cutoff + 9 * singular._ROW_WIDTH  # each cutoff is prime
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(singular.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.mark.parametrize("cutoff", [3, 97, 8191, 19997])
+def test_split_row_peak_is_within_its_count(cutoff, largest_counts, traced_peak, monkeypatch):
+    y = singular._SPLIT_MIN - 1  # the first split: each thread holds its own row
+    _cpus(monkeypatch, 2)
+    singular._odd_primes_upto(cutoff)  # the cached sieve is not the kernel's allocation
+    _, peak = traced_peak(singular_series_euler_bulk, y, cutoff)  # tracemalloc traces every thread
+    assert largest_counts["factor rows ov"] == 2 * (17 * cutoff + 9 * singular._ROW_WIDTH)  # each cutoff is prime
+    assert peak <= largest_counts["bulk product o"] + largest_counts["factor rows ov"]
+
+
+# The split hands _multiply_square_rows acc[mid:] at phase mid, so a slice at
+# phase k0 must get the same floats as the same slice of the whole array: k0
+# and n run on both sides of the row width, and primes on both sides of n.
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k0=st.integers(0, 3 * singular._ROW_WIDTH),
+    n=st.integers(1, 3 * singular._ROW_WIDTH),
+    primes=st.lists(st.sampled_from(_odd_primes_upto(40_000).tolist()), min_size=1, max_size=12, unique=True),
+    factor=st.sampled_from([singular._euler_factor, singular._sl_factor]),
+)
+@example(k0=singular._ROW_WIDTH, n=singular._ROW_WIDTH, primes=[3, 8191, 8209], factor=singular._euler_factor)
+@example(k0=1, n=1, primes=[3, 39989], factor=singular._sl_factor)
+def test_square_rows_at_a_phase_equal_the_whole_array_slice(k0, n, primes, factor):
+    primes = np.array(sorted(primes), dtype=np.int64)
+    whole = np.random.default_rng(k0 + n).uniform(0.5, 2.0, k0 + n)
+    part = whole[k0:].copy()
+    singular._multiply_square_rows(whole, primes, factor)
+    singular._multiply_square_rows(part, primes, factor, k0)
+    assert np.array_equal(part, whole[k0:])
+
+
+@pytest.mark.parametrize("bulk, scalar, arg", [
+    (singular_series_euler_bulk, singular_series_euler, 10**4),
+    (sl_product_bulk, sl_product, 1e-4),
+])
+@pytest.mark.parametrize("y", [singular._SPLIT_MIN - 2, singular._SPLIT_MIN - 1])  # serial, then the first split
+def test_bulk_products_across_the_split_equal_the_scalars(y, bulk, scalar, arg, monkeypatch):
+    _cpus(monkeypatch, 2)
+    got = bulk(y, arg)
+    mid = (y + 1) // 2
+    ks = [1, mid - 1, mid, mid + 1, y] + np.random.default_rng(y).integers(1, y + 1, 20).tolist()
+    for k in ks:
+        assert got[k] == scalar(k, arg), k
+
+
+@pytest.mark.parametrize("bulk, arg", [(singular_series_euler_bulk, 10**4), (sl_product_bulk, 1e-4)])
+def test_bulk_products_do_not_depend_on_the_cpu_count(bulk, arg, monkeypatch):
+    y = singular._SPLIT_MIN + 12_345
+    _cpus(monkeypatch, 2)
+    split = bulk(y, arg)
+    _cpus(monkeypatch, 1)
+    assert np.array_equal(bulk(y, arg), split)
+
+
+def test_concurrent_split_products_equal_the_serial_one(monkeypatch):
+    # three callers, each with its split worker: six threads (on a 2-core host), switching every 10 us
+    y = singular._SPLIT_MIN
+    _cpus(monkeypatch, 1)
+    serial = singular_series_euler_bulk(y, 10**4)
+    _cpus(monkeypatch, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            calls = [pool.submit(singular_series_euler_bulk, y, 10**4) for _ in range(3)]
+            results = [call.result(timeout=120) for call in calls]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert np.array_equal(got, serial)
+
+
+class _FactorFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fails_in", ["worker", "caller", "both"])
+def test_split_failure_reaches_the_caller_and_no_thread_outlives_it(fails_in, monkeypatch):
+    _cpus(monkeypatch, 2)
+    caller = threading.current_thread()
+
+    def factor(p, chi):
+        here = "caller" if threading.current_thread() is caller else "worker"
+        if fails_in in (here, "both"):
+            raise _FactorFailed(here)
+        return singular._euler_factor(p, chi)
+
+    before = threading.active_count()
+    with pytest.raises(_FactorFailed):
+        singular._bulk_product(singular._SPLIT_MIN - 1, 100, factor)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("factor", [singular._euler_factor, singular._sl_factor])
