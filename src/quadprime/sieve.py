@@ -174,21 +174,35 @@ def build_mobius_phi_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
 
     mu[0] and phi[0] are 0 by convention.  Each prime is applied once:
     phi picks up its (1 - 1/p) factor by exact subtraction, mu flips sign
-    on multiples of p and zeroes on multiples of p^2.
+    on multiples of p and zeroes on multiples of p^2.  The order does not
+    matter: phi[n] stays divisible by each prime of n not yet applied.  A
+    prime p <= sqrt(limit) is applied on its own; the primes above it have
+    p^2 > limit and are applied a multiplier j at a time, to j p for every
+    such p <= limit / j, so that they cost one step per j, not one per prime.
     """
     if limit < 1:
         raise ValueError(f"build_mobius_phi_tables: limit must be >= 1, got {limit}")
     # the peak is at p = 2: mu (1 byte per n) and phi (8) beside the sieve's
     # primes (8 per prime) and the quotient phi[2::2] // 2 (4 per n); inside
-    # the sieve, its flags (1 per n) stand where the quotient will
+    # the sieve, its flags (1 per n) stand where the quotient will.  At j = 1
+    # the primes above sqrt(limit) hold their multiples, phi there and its
+    # quotient, 24 bytes a prime: within the quotient's 4 per n from limit 529
     _check_budget(13 * (limit + 1) + 8 * _prime_count_bound(limit), f"mu/phi tables to {limit}")
     mu = np.ones(limit + 1, dtype=np.int8)
     phi = np.arange(limit + 1, dtype=np.int64)
-    for p in build_prime_table(limit).primes:
-        p = int(p)
+    primes = build_prime_table(limit).primes
+    small = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
+    for p in primes[:small].tolist():
         mu[p::p] *= -1
-        if p * p <= limit:
-            mu[p * p :: p * p] = 0
+        mu[p * p :: p * p] = 0
         phi[p::p] -= phi[p::p] // p
+    large = primes[small:]
+    for j in range(1, limit // int(large[0]) + 1 if len(large) else 1):
+        ps = large[: np.searchsorted(large, limit // j, side="right")]
+        at = ps * j
+        mu[at] *= -1
+        v = phi[at]
+        v -= v // ps
+        phi[at] = v
     mu[0] = 0
     return mu, phi

@@ -118,23 +118,32 @@ def _legendre_table(p: int) -> np.ndarray:
     return t
 
 
-def _legendre_rows(primes, n) -> dict:
-    """{p: _legendre_table(p)[n % p]} for each odd prime p of primes: the rows _chi reads.
+def _legendre_rows(primes, n) -> np.ndarray:
+    """The rows chi_k is multiplied from, at the points n, as one int8 matrix.
 
-    The rows are counted before the first is built, an int8 row per prime
-    with its array header and dict slot as 128 bytes; each table mod p keeps
-    its own check.
+    Row 0 is all ones, rows 1-4 are the four sign rows _CHI_SIGN[i][n & 7],
+    and row 5 + i is the Legendre row _legendre_table(p)[n % p] of the i-th
+    prime p of primes, so _chi_keys maps ascending primes to rows by
+    searchsorted.  The rows are counted before the first is built, with 128
+    bytes a row to spare; each table mod p keeps its own check.
     """
     points = np.size(n)
-    _check_budget((points + 128) * len(primes), f"Legendre rows for {len(primes)} primes at {points} points")
-    return {p: _legendre_table(p)[n % p] for p in primes}
+    _check_budget((points + 128) * (len(primes) + 5), f"Legendre rows for {len(primes)} primes at {points} points")
+    rows = np.empty((len(primes) + 5,) + np.shape(n), dtype=np.int8)
+    rows[0] = 1
+    rows[1:5] = _CHI_SIGN[:, n & 7]  # n mod 8, without an integer division
+    for i, p in enumerate(map(int, primes), 5):
+        rows[i] = _legendre_table(p)[n % p]
+    return rows
 
 
-# the sign s(n) of chi_k at n mod 8, row [m % 4 // 2][e % 2] for k = 2^e m, m odd (see chi_k)
+# the sign s(n) of chi_k at n mod 8, row 2 (m % 4 // 2) + e % 2 for k = 2^e m, m odd (see chi_k)
 _CHI_SIGN = np.array(
     [
-        [[0, 1, 0, -1, 0, 1, 0, -1], [0, 1, 0, 1, 0, -1, 0, -1]],
-        [[0, 1, 0, 1, 0, 1, 0, 1], [0, 1, 0, -1, 0, -1, 0, 1]],
+        [0, 1, 0, -1, 0, 1, 0, -1],
+        [0, 1, 0, 1, 0, -1, 0, -1],
+        [0, 1, 0, 1, 0, 1, 0, 1],
+        [0, 1, 0, -1, 0, -1, 0, 1],
     ],
     dtype=np.int8,
 )
@@ -153,34 +162,55 @@ def chi_k(k: int, n):
     sign is -1 exactly when n = 3 mod 4 and m = 1 mod 4, and (2/n)^e is -1
     exactly when e is odd and n = +-3 mod 8.  So chi_k is read from the sign
     row at n mod 8 and one Legendre row per prime of m at n mod p, and costs
-    the same for every k of the same shape, however large.  The rows are
-    those of k's own odd primes, built by _legendre_rows.
+    the same for every k of the same shape, however large.  Since (n/p) is
+    -1, 0 or 1, (n/p)^a is (n/p) for odd a and (n/p)^2 for even a: k's row
+    list holds its sign row, then each odd prime's row once or twice, and
+    chi_k is their product.  The rows are those of k's own odd primes, built
+    by _legendre_rows; _chi_block multiplies the lists of many k at once.
     """
-    factors = factorize(k)
-    chi = _chi(k, factors, n, _legendre_rows([p for p, _ in factors if p > 2], n))
+    e = (k & -k).bit_length() - 1
+    odd = [(p, a) for p, a in factorize(k) if p > 2]
+    rows = _legendre_rows([p for p, _ in odd], n)
+    ids = [1 + ((k >> e) & 2 | e & 1)] + [i for i, (_, a) in enumerate(odd, 5) for _ in range(2 - a % 2)]
+    chi = np.multiply.reduce(rows[ids], dtype=np.int8)
     return chi if isinstance(n, np.ndarray) else int(chi)
 
 
-def _chi(k: int, factors, n, rows: dict):
-    """The body of chi_k, reading (n/p) from rows[p] = _legendre_table(p)[n % p] for each odd prime p of k.
+def _chi_keys(ks: np.ndarray, flat: list, ends: list, primes: np.ndarray) -> np.ndarray:
+    """The row lists of chi_k for the k of ks, one row of ids each, padded with 0, the row of ones.
 
-    factors yields the (p, a) pairs of factorize(k), which the caller has
-    already taken to choose its rows.  The caller builds the rows with
-    _legendre_rows; a missing row is a KeyError.  A caller that reads chi_k
-    for many k builds one dict for the odd primes of all of them, and its n
-    may then be any prefix of the n the rows were built at.
+    factorize(ks[i]) lies at flat[ends[i]:ends[i + 1]] as p, a, p, a, ...;
+    primes are the ascending odd primes that _legendre_rows built rows for,
+    so p's row is 5 + its index.  Each list is as in chi_k: k's sign row,
+    then each odd prime's row once for an odd exponent and twice for an even
+    one.  An odd prime of some k without a row is a KeyError.
     """
-    e = (k & -k).bit_length() - 1
-    m = k >> e
-    chi = _CHI_SIGN[m % 4 // 2, e % 2][n & 7]  # n mod 8, without an integer division
-    for p, a in factors:
-        if p == 2:
-            continue
-        leg = rows[p]
-        if isinstance(n, np.ndarray):
-            leg = leg[: len(n)]
-        chi = chi * (leg if a % 2 else leg * leg)
-    return chi
+    low = ks & -ks  # 2^e for k = 2^e m, m odd; bit e + 1 of k is m % 4 // 2
+    sign = 1 + 2 * ((ks & (low << 1)) != 0) + ((low & 0x2AAAAAAAAAAAAAAA) != 0)  # odd e: a bit 1, 3, ... of low
+    pairs = np.array(flat, dtype=np.int64).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(ks)), np.diff(ends) // 2)
+    odd = pairs[:, 0] > 2
+    pairs, owner = pairs[odd], owner[odd]
+    row = np.searchsorted(primes, pairs[:, 0])
+    if not np.array_equal(np.append(primes, 0)[row], pairs[:, 0]):
+        raise KeyError(f"no Legendre row for the odd primes {sorted(set(pairs[:, 0].tolist()) - set(primes.tolist()))}")
+    reps = 2 - (pairs[:, 1] & 1)
+    row, owner = np.repeat(row + 5, reps), np.repeat(owner, reps)
+    col = 1 + np.arange(len(owner)) - np.searchsorted(owner, owner)  # owner ascends: k's entries so far
+    ids = np.zeros((len(ks), 1 + int(col.max(initial=0))), dtype=np.intp)
+    ids[:, 0] = sign
+    ids[owner, col] = row
+    return ids
+
+
+def _chi_block(rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """chi_k at the points of rows for a block of k, one row per k, from _chi_keys' ids of those k.
+
+    rows is the matrix of _legendre_rows, or the same prefix of each of its
+    rows.  One gather stacks each k's rows and one np.multiply.reduce
+    multiplies them, so a block costs two numpy calls, not one per k.
+    """
+    return np.multiply.reduce(rows[ids], axis=1, dtype=np.int8)
 
 
 def _euler_factor(p, chi):
@@ -214,8 +244,8 @@ def _bulk_product(y: int, cutoff: int, factor) -> np.ndarray:
 
     - _multiply_square_rows builds a prime's row from the squares mod p, at a
       cost that grows with p;
-    - _multiply_far_rows reads chi_k on a block of primes through _chi for
-      each k <= y, at a cost that grows with y and not with p.  It serves
+    - _multiply_far_rows reads chi_k on a block of primes through _chi_block
+      for each block of k <= y, at a cost that grows with y and not with p.  It serves
       the primes above _FAR_RATIO (y + 1) = 4 (y + 1), where far rows cost
       less (measured: the two cost the same near p = 2 to 4 (y + 1) for
       y = 10^4 and 10^5, below 2 (y + 1) for y <= 1000).
@@ -290,30 +320,38 @@ def _multiply_far_rows(acc: np.ndarray, primes: np.ndarray, factor) -> None:
     """acc[k] *= factor(p, chi_k(p)) for each p of primes in ascending order, k = 1..len(acc)-1.
 
     Every k is factorized once per call, into one flat list as in
-    _lmethod_bulk.  The primes go in blocks of _FAR_BLOCK.  Each block builds
-    the Legendre rows of every odd prime < len(acc), the odd primes of all
-    its k, at its own primes, reads chi_k through _chi from them, then
-    gathers the factors from _factor_table and multiplies them into acc[k]
-    left to right, as np.prod does.  Block sizes count primes, not cells:
-    _chi costs a call per k and block, so small blocks are slow at large y.
+    _lmethod_bulk, and _chi_keys turns it into each k's row ids.  The primes
+    go in blocks of _FAR_BLOCK.  Each block builds the Legendre rows of every
+    odd prime < len(acc), the odd primes of all its k, at its own primes, and
+    the k go through it in blocks of up to _LMETHOD_BLOCK: _chi_block reads
+    their chi_k, the factors are gathered from _factor_table, acc[k]
+    multiplies the first of them, and np.prod multiplies the rest in left to
+    right, so each acc[k] gets np.prod(..., initial=acc[k])'s float.
     """
     if not len(primes):
         return
-    ks = range(1, len(acc))
-    # factorize(k) of the i-th k at flat[ends[i]:ends[i + 1]] as p, a, p, a, ...: counted as in _lmethod_bulk
+    ks = np.arange(1, len(acc))
+    # factorize(k) of the i-th k at flat[ends[i]:ends[i + 1]] as p, a, p, a, ...: counted as in _lmethod_bulk;
+    # _chi_keys' peak and the row ids it returns are within the far block's count of 2048 bytes a k and more
     _check_budget(200 * len(ks), f"factorizations of {len(ks)} k")
     flat, ends = [], [0]
-    for k in ks:
+    for k in ks.tolist():
         flat.extend(itertools.chain.from_iterable(factorize(k)))
         ends.append(len(flat))
-    odd_primes = _odd_primes_upto(len(acc) - 1).tolist()
+    odd_primes = _odd_primes_upto(len(acc) - 1)
+    ids = _chi_keys(ks, flat, ends, odd_primes)
+    del flat, ends
+    # a block of b k holds an int8 chi, an int64 index and a float64 factor a prime, 17 b bytes: with b at
+    # most max(1, y / 32), about y / 2, beside rows of about y / 2, within _bulk_product's far-block count
+    b = min(_LMETHOD_BLOCK, max(1, len(ks) // 32))
     for start in range(0, len(primes), _FAR_BLOCK):
         ps = primes[start : start + _FAR_BLOCK]
         table, at = _factor_table(ps, factor)
         rows = _legendre_rows(odd_primes, ps)
-        for i, k in enumerate(ks):
-            f = flat[ends[i] : ends[i + 1]]
-            acc[k] = np.prod(table[at + _chi(k, zip(f[::2], f[1::2]), ps, rows)], initial=acc[k])
+        for lo in range(1, len(acc), b):
+            f = table[at + _chi_block(rows, ids[lo - 1 : lo - 1 + b])]
+            f[:, 0] *= acc[lo : lo + b]
+            acc[lo : lo + b] = np.prod(f, axis=1)
         del rows  # so the next block's rows are not built beside these
 
 
@@ -484,6 +522,33 @@ def _sl_cutoff(tol: float) -> int:
     return p
 
 
+def _sl_counts(primes: np.ndarray, tols: np.ndarray) -> np.ndarray:
+    """searchsorted(primes, _sl_cutoff(t), "right") for each t of tols, from one table over the ascending odd primes.
+
+    _sl_tail_error falls as its cutoff grows, so an odd prime p is at most
+    _sl_cutoff(t) iff p = 3 or _sl_tail_error(p - 1) > t, and a count is the
+    number of entries above t in the falling table of _sl_tail_error(p - 1)
+    (inf at p = 3): one np.searchsorted for every t.  primes run from 3 to at
+    least _sl_cutoff(min tols).  The table is taken in numpy, whose log may
+    differ from math.log in the last place, so the two entries on either side
+    of each count are taken again from _sl_tail_error, until no count moves.
+    """
+    m = primes[1:] - 1.0
+    eps = 2.52 / ((m - 2.0) * np.log(m))  # eps < 1 from m = 4 on
+    neg = np.concatenate(([-np.inf], -1.24 * eps / (1.0 - eps)))  # -_sl_tail_error(p - 1): ascending
+    exact = np.zeros(len(neg), dtype=bool)
+    exact[0] = True
+    while True:
+        counts = np.searchsorted(neg, -tols)
+        near = np.zeros(len(neg) + 1, dtype=bool)
+        near[counts - 1] = near[counts] = True
+        todo = np.flatnonzero(near[:-1] & ~exact)
+        if not len(todo):
+            return counts
+        neg[todo] = [-_sl_tail_error(p - 1) for p in primes[todo].tolist()]
+        exact[todo] = True
+
+
 def sl_product(k: int, tol: float) -> float:
     """S(k) * L(k) as the absolutely convergent product over odd primes (see _sl_factor)."""
     if k < 1:
@@ -568,16 +633,18 @@ def _lmethod_bulk(ks: np.ndarray, tol: float, q=None, weights=None) -> np.ndarra
 
     run_sweep passes no q, for S(k); phi_moment passes the odd q <= q1 and
     mu(q)/phi(q), for tail_phi(k, q1, tol).  L(k) comes from one
-    _class_numbers pass and each k's SL cutoff from _sl_cutoff(tol L/2), as
-    in singular_series_lmethod.  The k go in ascending chunks of
-    _LMETHOD_CHUNK, each with one dict of Legendre rows for the odd primes
-    of its own k, at the q and then the odd primes up to its largest cutoff;
-    so the rows do not grow with y.  Each k is factorized once per chunk, and
-    _chi reads the same list the row set was taken from.
-    Within a chunk the k go in blocks of _LMETHOD_BLOCK in order of cutoff,
-    so a block reads chi only up to its own largest cutoff.  Row i of a
+    _class_numbers pass, as in singular_series_lmethod.  The k go in
+    ascending chunks of _LMETHOD_CHUNK.  A chunk takes the odd primes up to
+    its largest SL cutoff, _sl_cutoff(min tol L/2), and _sl_counts gives each
+    k the number of them that sl_product(k, tol L/2) multiplies, from one
+    table: no Newton solve per k.  Its k are factorized once, in order of
+    that count, into one flat list; _legendre_rows builds one int8 matrix of
+    rows for the odd primes of its k, at the q and then the primes, so the
+    rows do not grow with y, and _chi_keys turns the list into each k's row
+    ids.  The k then go in blocks of _LMETHOD_BLOCK, each reading chi_k from
+    one _chi_block call up to the block's largest count.  Row i of a
     block's factor matrix holds sl_product's factors for k_i in order, from
-    _sl_factor at chi = -1, 0, 1, then exact 1.0s past k_i's cutoff, where
+    _sl_factor at chi = -1, 0, 1, then exact 1.0s past k_i's count, where
     chi is set to 0; so np.prod along it is sl_product's float, and np.sum
     along a row of dirichlet_partial's terms is its float too.
     """
@@ -588,31 +655,33 @@ def _lmethod_bulk(ks: np.ndarray, tol: float, q=None, weights=None) -> np.ndarra
     for start in range(0, len(ks), _LMETHOD_CHUNK):
         chunk = ks[start : start + _LMETHOD_CHUNK]
         l_exact = np.pi * h[chunk] / (np.where(chunk == 1, 4, 2) * np.sqrt(chunk))
-        cutoffs = np.array([_sl_cutoff(tol * l / 2.0) for l in l_exact.tolist()], dtype=np.int64)
-        primes = _odd_primes_upto(int(cutoffs.max()))
+        t = tol * l_exact / 2.0
+        primes = _odd_primes_upto(_sl_cutoff(float(t.min())))
         n = np.concatenate([q, primes])
         # per cell the int8 chi, a bool mask, an int64 index and a float64 factor or term: 18 bytes, counted as 24
         _check_budget(24 * _LMETHOD_BLOCK * len(n), f"chi and factor blocks of {_LMETHOD_BLOCK} x {len(n)}")
+        counts = _sl_counts(primes, t)
         factors, at = _factor_table(primes, _sl_factor)
         # factorize(k) of the i-th k at flat[ends[i]:ends[i + 1]] as p, a, p, a, ...: 81-136 bytes a k (174 as
         # the list grows) for k <= 10^9, counted as 200.  A list per k costs twice that, and its thousands of
-        # survivors bring a fresh process's first full garbage collection (30 ms) into the call.
-        _check_budget(200 * len(chunk), f"factorizations of {len(chunk)} k")
+        # survivors bring a fresh process's first full garbage collection (30 ms) into the call.  _chi_keys
+        # peaks at 155-239 bytes a k more while it turns the list into row ids (measured), counted as 250.
+        _check_budget(450 * len(chunk), f"factorizations of {len(chunk)} k")
+        order = np.argsort(counts, kind="stable")
         flat, ends = [], [0]
-        for k in chunk.tolist():
+        for k in chunk[order].tolist():
             flat.extend(itertools.chain.from_iterable(factorize(k)))
             ends.append(len(flat))
-        rows = _legendre_rows(sorted(set(flat[::2]) - {2}), n)
-        order = np.argsort(cutoffs, kind="stable")
-        for idx in np.split(order, range(_LMETHOD_BLOCK, len(order), _LMETHOD_BLOCK)):
-            cut = cutoffs[idx]
-            width = int(np.searchsorted(primes, cut[-1], side="right"))
-            chi = np.empty((len(idx), len(q) + width), dtype=np.int8)
-            for i, j in enumerate(idx.tolist()):
-                f = flat[ends[j] : ends[j + 1]]
-                chi[i] = _chi(int(chunk[j]), zip(f[::2], f[1::2]), n[: len(q) + width], rows)
+        row_primes = np.array(sorted(set(flat[::2]) - {2}), dtype=np.int64)
+        rows = _legendre_rows(row_primes, n)
+        ids = _chi_keys(chunk[order], flat, ends, row_primes)
+        del flat, ends
+        for lo in range(0, len(order), _LMETHOD_BLOCK):
+            idx = order[lo : lo + _LMETHOD_BLOCK]
+            width = int(counts[idx[-1]])
+            chi = _chi_block(rows[:, : len(q) + width], ids[lo : lo + _LMETHOD_BLOCK])
             c = chi[:, len(q) :]
-            c[primes[:width] > cut[:, None]] = 0  # chi = 0 gives a factor of exactly 1.0
+            c[primes[:width] > primes[counts[idx, None] - 1]] = 0  # chi = 0 gives a factor of exactly 1.0
             s = np.prod(factors[at[:width] + c], axis=1) / l_exact[idx]
             if not (s > 0.0).all():
                 j = np.argmin(s > 0.0)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadprime import sieve
 from quadprime.arith import mobius_phi, von_mangoldt
@@ -139,6 +141,19 @@ def test_mobius_phi_tables_match_scalar():
     mu, phi = build_mobius_phi_tables(2000)
     for n in range(1, 2001):
         assert (int(mu[n]), int(phi[n])) == mobius_phi(n), n
+
+
+@settings(max_examples=30, deadline=None)
+@given(limit=st.integers(1, 3000))
+@example(limit=1)
+@example(limit=3)  # every prime is above sqrt(limit)
+@example(limit=48)  # one below 7^2: 7 is a large prime
+@example(limit=49)
+@example(limit=30_000)  # 3,205 primes above sqrt(limit), a multiplier step each j <= 167
+def test_mobius_phi_tables_with_the_large_primes_by_multiplier_match_scalar(limit):
+    mu, phi = build_mobius_phi_tables(limit)
+    assert (mu[0], phi[0]) == (0, 0)
+    assert [(int(m), int(f)) for m, f in zip(mu[1:], phi[1:])] == [mobius_phi(n) for n in range(1, limit + 1)]
 
 
 # ---------------------------------------------------------------------------

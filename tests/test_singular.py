@@ -8,6 +8,7 @@ cross-checks two package functions against each other).
 
 import cmath
 import gc
+import itertools
 import math
 import sys
 import threading
@@ -284,22 +285,37 @@ def test_chi_k_equals_jacobi_at_odd_n_for_large_k(k):
     assert chi_k(k, n).tolist() == [jacobi(-k, int(v)) for v in n]
 
 
-def test_chi_rows_with_one_shared_dict_equal_chi_k():
+def flat_factorizations(ks):
+    """factorize(k) for each k of ks end to end as p, a, p, a, ..., and where each k's pairs end."""
+    flat, ends = [], [0]
+    for k in ks:
+        flat.extend(itertools.chain.from_iterable(factorize(k)))
+        ends.append(len(flat))
+    return flat, ends
+
+
+def test_chi_blocks_from_one_shared_row_matrix_equal_chi_k():
     n = np.concatenate([np.arange(600), _odd_primes_upto(5000)])
-    rows = singular._legendre_rows(_odd_primes_upto(2000).tolist(), n)
-    block = [singular._chi(k, factorize(k), n, rows) for k in range(1, 2001)]
-    for k in range(1, 2001):  # even k and k with a squared prime among them
-        assert block[k - 1].tobytes() == chi_k(k, n).tobytes(), k
+    primes = _odd_primes_upto(2000)
+    rows = singular._legendre_rows(primes.tolist(), n)
+    ks = np.arange(1, 2001)  # even k and k with a squared prime among them
+    ids = singular._chi_keys(ks, *flat_factorizations(ks.tolist()), primes)
+    for lo in range(0, len(ks), 16):
+        block = singular._chi_block(rows, ids[lo : lo + 16])
+        prefix = singular._chi_block(rows[:, :700], ids[lo : lo + 16])  # the prefix _lmethod_bulk reads
+        for k, chi, head in zip(ks[lo : lo + 16].tolist(), block, prefix):
+            assert chi.tobytes() == chi_k(k, n).tobytes(), k
+            assert head.tobytes() == chi_k(k, n[:700]).tobytes(), k
 
 
 @pytest.mark.parametrize("k, missing", [(3, 3), (2 * 5 * 7, 7), (9 * 11, 3), (4 * 13**2, 13)])
 def test_chi_refuses_a_missing_row(k, missing):
     n = np.arange(1, 200)
-    ps = [p for p, _ in factorize(k) if p > 2]
-    rows = singular._legendre_rows([p for p in ps if p != missing], n)
+    kept = [p for p, _ in factorize(k) if p > 2 and p != missing]
+    rows = singular._legendre_rows(kept, n)
     with pytest.raises(KeyError):
-        singular._chi(k, factorize(k), n, rows)
-    assert missing not in rows  # _chi builds no row behind its caller's back
+        singular._chi_keys(np.array([k]), *flat_factorizations([k]), np.array(kept, dtype=np.int64))
+    assert len(rows) == 5 + len(kept)  # no row is built behind the caller's back
 
 
 def test_legendre_table_checks_the_budget(monkeypatch):
@@ -758,6 +774,35 @@ def test_sl_cutoff_is_the_least_p_meeting_the_bound():
         _sl_cutoff(1e-30)
 
 
+@settings(max_examples=40, deadline=None)
+@given(exponents=st.lists(st.floats(-8.0, -2.0), min_size=1, max_size=20))
+def test_sl_counts_equal_the_scalar_cutoffs(exponents):
+    tols = 10.0 ** np.array(exponents)
+    primes = _odd_primes_upto(_sl_cutoff(float(tols.min())))
+    want = [int(np.searchsorted(primes, _sl_cutoff(float(t)), side="right")) for t in tols]
+    assert singular._sl_counts(primes, tols).tolist() == want
+
+
+@pytest.mark.parametrize("cut", [4, 5, 6, 10, 11, 12, 100, 1008, 1009, 10006, 10007, 104728, 104729])
+def test_sl_counts_at_the_bound_itself(cut):
+    # at t = _sl_tail_error(P) the cutoff is P: a prime p = P + 1 is out, a prime P is in
+    tols = np.array([singular._sl_tail_error(cut)])
+    assert _sl_cutoff(float(tols[0])) == cut
+    primes = _odd_primes_upto(2 * cut)
+    want = int(np.searchsorted(primes, cut, side="right"))
+    assert singular._sl_counts(primes, tols).tolist() == [want]
+
+
+def test_lmethod_bulk_solves_one_cutoff_a_chunk_and_reads_chi_a_block(monkeypatch):
+    calls = {"_sl_cutoff": 0, "_chi_block": 0, "chi_k": 0}
+    for name in calls:
+        f = getattr(singular, name)
+        monkeypatch.setattr(singular, name, lambda *args, f=f, name=name: calls.__setitem__(name, calls[name] + 1) or f(*args))
+    monkeypatch.setattr(singular, "_LMETHOD_CHUNK", 100)
+    singular._lmethod_bulk(np.arange(1, 301), 1e-4)
+    assert calls == {"_sl_cutoff": 3, "_chi_block": 3 * 7, "chi_k": 0}  # 7 blocks of 16 cover a chunk of 100
+
+
 @lru_cache(maxsize=None)
 def l_tight(k):
     return l_value(k, 1e-11)
@@ -879,6 +924,11 @@ def ascending_ks(draw):
 @example(ks=np.array([1]), chunk=singular._LMETHOD_CHUNK, q1=9, tol=1e-4)
 @example(ks=np.array([9, 25, 49]), chunk=singular._LMETHOD_CHUNK, q1=None, tol=1e-4)  # odd primes squared only
 @example(ks=np.array([2, 4, 8]), chunk=singular._LMETHOD_CHUNK, q1=None, tol=1e-4)  # no odd prime at all
+@example(ks=np.array([5, 13]), chunk=singular._LMETHOD_CHUNK, q1=9, tol=1e-4)  # the four sign rows: k = 1 mod 4
+@example(ks=np.array([7, 11]), chunk=singular._LMETHOD_CHUNK, q1=9, tol=1e-4)  # k = 3 mod 4
+@example(ks=np.array([6, 10]), chunk=singular._LMETHOD_CHUNK, q1=9, tol=1e-4)  # k = 2 * odd
+@example(ks=np.array([12, 20]), chunk=singular._LMETHOD_CHUNK, q1=9, tol=1e-4)  # k = 4 * odd
+@example(ks=np.array([45, 126]), chunk=singular._LMETHOD_CHUNK, q1=60, tol=1e-4)  # 3^2 5 and 2 3^2 7: a row twice
 @example(ks=np.array([1000]), chunk=1, q1=None, tol=1e-4)  # a single k above 1
 @example(ks=np.arange(2, 60, 3), chunk=4, q1=None, tol=1e-4)  # first k above 1, chunks of a gapped run
 @example(  # two chunks of the module's own size, the second a gapped tail
